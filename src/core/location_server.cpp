@@ -780,6 +780,9 @@ void LocationServer::on_standby_demote(NodeId src, const wm::StandbyDemote& m) {
   visitor_db_.for_each([&](const store::VisitorRecord& rec) {
     if (rec.leaf) drop.push_back(rec.oid);
   });
+  // Removal order shapes the spatial index's rebuilds: make it independent
+  // of the visitorDB's table layout.
+  std::sort(drop.begin(), drop.end());
   for (const ObjectId oid : drop) {
     if (sightings_ && sightings_->find(oid) != nullptr) sightings_->remove(oid);
   }

@@ -7,13 +7,12 @@
 // keeps removal O(1) and preserves query complexity.
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "spatial/spatial_index.hpp"
+#include "util/oid_set.hpp"
 #include "util/rng.hpp"
 
 namespace locs::spatial {
@@ -23,50 +22,49 @@ namespace {
 class PointQuadtree final : public SpatialIndex {
  public:
   void insert(ObjectId id, geo::Point pos) override {
-    assert(by_id_.find(id) == by_id_.end());
-    Node* node = insert_node(id, pos);
-    by_id_.emplace(id, node);
+    const auto [node, inserted] = by_id_.try_emplace(id);
+    assert(inserted);
+    (void)inserted;
+    *node = insert_node(id, pos);
     ++alive_;
   }
 
   bool remove(ObjectId id) override {
-    auto it = by_id_.find(id);
-    if (it == by_id_.end()) return false;
-    it->second->alive = false;
-    by_id_.erase(it);
+    const std::uint32_t* node = by_id_.find(id);
+    if (node == nullptr) return false;
+    nodes_[*node].alive = false;
+    by_id_.erase(id);
     --alive_;
     ++dead_;
     maybe_rebuild();
     return true;
   }
 
-  /// Position update without the remove+insert hash churn of the default.
+  /// Position update without a remove+insert round trip through by_id_.
   /// One root walk finds where `pos` would insert; if that terminates at the
   /// object's own (childless) node, the point moves in place -- every
   /// ancestor's quadrant relation still holds. Otherwise the old node is
-  /// tombstoned and a recycled node attaches at the walk's end, reusing the
-  /// existing by_id_ slot. Steady-state updates allocate nothing: the node
-  /// free list is restocked wholesale by the amortized rebuilds.
+  /// tombstoned and a new node attaches at the walk's end, reusing the
+  /// existing by_id_ slot. Steady-state updates allocate nothing: a rebuild
+  /// clears the node array but keeps its capacity.
   void update(ObjectId id, geo::Point pos) override {
-    const auto it = by_id_.find(id);
-    if (it == by_id_.end()) {
+    std::uint32_t* node = by_id_.find(id);
+    if (node == nullptr) {
       insert(id, pos);
       return;
     }
-    Node* node = it->second;
-    Node* cur = root_.get();
+    std::uint32_t cur = kRoot;
     for (;;) {
-      const int q = quadrant_of(cur->pos, pos);
-      Node* next = cur->child[q].get();
-      if (next == nullptr) {
-        if (cur == node && is_leaf(node)) {
-          node->pos = pos;
+      const int q = quadrant_of(nodes_[cur].pos, pos);
+      const std::uint32_t next = nodes_[cur].child[q];
+      if (next == kNone) {
+        if (cur == *node && is_leaf(nodes_[cur])) {
+          nodes_[cur].pos = pos;
           return;
         }
-        node->alive = false;
+        nodes_[*node].alive = false;
         ++dead_;
-        cur->child[q] = make_node(id, pos);
-        it->second = cur->child[q].get();
+        *node = attach(cur, q, id, pos);
         maybe_rebuild();
         return;
       }
@@ -75,7 +73,7 @@ class PointQuadtree final : public SpatialIndex {
   }
 
   void query_rect(const geo::Rect& rect, std::vector<Entry>& out) const override {
-    query_rect_rec(root_.get(), rect, out);
+    if (!nodes_.empty()) query_rect_rec(kRoot, rect, out);
   }
 
   std::vector<Entry> k_nearest(geo::Point p, std::size_t k) const override {
@@ -83,7 +81,7 @@ class PointQuadtree final : public SpatialIndex {
     struct Item {
       double dist2;
       bool is_point;  // true: a candidate data point; false: a subtree
-      const Node* node;
+      std::uint32_t node;
       geo::Rect region;
     };
     const auto cmp = [](const Item& a, const Item& b) { return a.dist2 > b.dist2; };
@@ -91,24 +89,24 @@ class PointQuadtree final : public SpatialIndex {
 
     constexpr double inf = 1e300;
     const geo::Rect whole{{-inf, -inf}, {inf, inf}};
-    if (root_) heap.push({0.0, false, root_.get(), whole});
+    if (!nodes_.empty()) heap.push({0.0, false, kRoot, whole});
 
     std::vector<Entry> result;
     while (!heap.empty() && result.size() < k) {
       const Item item = heap.top();
       heap.pop();
+      const Node& n = nodes_[item.node];
       if (item.is_point) {
-        result.push_back({item.node->id, item.node->pos});
+        result.push_back({n.id, n.pos});
         continue;
       }
-      const Node* n = item.node;
-      if (n->alive) {
-        heap.push({geo::distance2(p, n->pos), true, n, item.region});
+      if (n.alive) {
+        heap.push({geo::distance2(p, n.pos), true, item.node, item.region});
       }
       for (int q = 0; q < 4; ++q) {
-        if (!n->child[q]) continue;
-        const geo::Rect sub = quadrant_region(item.region, n->pos, q);
-        heap.push({sub.distance2_to(p), false, n->child[q].get(), sub});
+        if (n.child[q] == kNone) continue;
+        const geo::Rect sub = quadrant_region(item.region, n.pos, q);
+        heap.push({sub.distance2_to(p), false, n.child[q], sub});
       }
     }
     return result;
@@ -117,9 +115,8 @@ class PointQuadtree final : public SpatialIndex {
   std::size_t size() const override { return alive_; }
 
   void clear() override {
-    root_.reset();
+    nodes_.clear();
     by_id_.clear();
-    free_.clear();
     alive_ = 0;
     dead_ = 0;
   }
@@ -127,11 +124,17 @@ class PointQuadtree final : public SpatialIndex {
   const char* name() const override { return "point_quadtree"; }
 
  private:
+  // Nodes live in one array and name their children by index. The root is
+  // nodes_[0] and is never anyone's child, so 0 doubles as "no child".
+  static constexpr std::uint32_t kRoot = 0;
+  static constexpr std::uint32_t kNone = 0;
+
+  // pos and child lead: they are all a descent reads.
   struct Node {
-    ObjectId id;
     geo::Point pos;
+    std::uint32_t child[4] = {kNone, kNone, kNone, kNone};
+    ObjectId id;
     bool alive = true;
-    std::unique_ptr<Node> child[4];
   };
 
   // Quadrants: 0 = SW, 1 = SE, 2 = NW, 3 = NE relative to the node's point.
@@ -156,76 +159,60 @@ class PointQuadtree final : public SpatialIndex {
     return r;
   }
 
-  static bool is_leaf(const Node* n) {
-    return !n->child[0] && !n->child[1] && !n->child[2] && !n->child[3];
+  static bool is_leaf(const Node& n) {
+    return n.child[0] == kNone && n.child[1] == kNone && n.child[2] == kNone &&
+           n.child[3] == kNone;
   }
 
-  std::unique_ptr<Node> make_node(ObjectId id, geo::Point pos) {
-    std::unique_ptr<Node> node;
-    if (!free_.empty()) {
-      node = std::move(free_.back());
-      free_.pop_back();
-      node->alive = true;
-      for (auto& c : node->child) c.reset();
-    } else {
-      node = std::make_unique<Node>();
+  /// Appends a node as child `q` of `parent`; returns its index.
+  std::uint32_t attach(std::uint32_t parent, int q, ObjectId id, geo::Point pos) {
+    const auto index = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(Node{.pos = pos, .id = id});
+    nodes_[parent].child[q] = index;
+    return index;
+  }
+
+  std::uint32_t insert_node(ObjectId id, geo::Point pos) {
+    if (nodes_.empty()) {
+      nodes_.push_back(Node{.pos = pos, .id = id});
+      return kRoot;
     }
-    node->id = id;
-    node->pos = pos;
-    return node;
-  }
-
-  /// Moves an entire subtree into the free list (children first).
-  void harvest(std::unique_ptr<Node> n) {
-    if (!n) return;
-    for (auto& c : n->child) harvest(std::move(c));
-    free_.push_back(std::move(n));
-  }
-
-  Node* insert_node(ObjectId id, geo::Point pos) {
-    if (!root_) {
-      root_ = make_node(id, pos);
-      return root_.get();
-    }
-    Node* cur = root_.get();
+    std::uint32_t cur = kRoot;
     for (;;) {
-      const int q = quadrant_of(cur->pos, pos);
-      if (!cur->child[q]) {
-        cur->child[q] = make_node(id, pos);
-        return cur->child[q].get();
-      }
-      cur = cur->child[q].get();
+      const int q = quadrant_of(nodes_[cur].pos, pos);
+      const std::uint32_t next = nodes_[cur].child[q];
+      if (next == kNone) return attach(cur, q, id, pos);
+      cur = next;
     }
   }
 
-  void query_rect_rec(const Node* n, const geo::Rect& rect,
+  void query_rect_rec(std::uint32_t index, const geo::Rect& rect,
                       std::vector<Entry>& out) const {
-    if (!n) return;
-    if (n->alive && rect.contains(n->pos)) out.push_back({n->id, n->pos});
+    const Node& n = nodes_[index];
+    if (n.alive && rect.contains(n.pos)) out.push_back({n.id, n.pos});
     // Prune quadrants that cannot intersect the query rectangle.
-    const bool west = rect.min.x < n->pos.x;
-    const bool east = rect.max.x >= n->pos.x;
-    const bool south = rect.min.y < n->pos.y;
-    const bool north = rect.max.y >= n->pos.y;
-    if (west && south) query_rect_rec(n->child[0].get(), rect, out);
-    if (east && south) query_rect_rec(n->child[1].get(), rect, out);
-    if (west && north) query_rect_rec(n->child[2].get(), rect, out);
-    if (east && north) query_rect_rec(n->child[3].get(), rect, out);
+    const bool west = rect.min.x < n.pos.x;
+    const bool east = rect.max.x >= n.pos.x;
+    const bool south = rect.min.y < n.pos.y;
+    const bool north = rect.max.y >= n.pos.y;
+    if (west && south && n.child[0] != kNone) query_rect_rec(n.child[0], rect, out);
+    if (east && south && n.child[1] != kNone) query_rect_rec(n.child[1], rect, out);
+    if (west && north && n.child[2] != kNone) query_rect_rec(n.child[2], rect, out);
+    if (east && north && n.child[3] != kNone) query_rect_rec(n.child[3], rect, out);
   }
 
   void maybe_rebuild() {
     if (dead_ < 64 || dead_ < alive_) return;
     std::vector<Entry> entries;
     entries.reserve(alive_);
-    collect(root_.get(), entries);
+    collect(kRoot, entries);
     // Shuffle before reinsertion: point quadtree balance depends on
     // insertion order; a deterministic shuffle restores expected O(log n).
     Rng rng(0x9d7f3c2b1ULL + entries.size());
     std::shuffle(entries.begin(), entries.end(), rng);
-    // Recycle every node (live and tombstoned): the free list this leaves
-    // behind feeds make_node until the next rebuild, making steady-state
-    // updates allocation-free.
-    harvest(std::move(root_));
+    // clear() keeps the node array's capacity: reinsertion and the updates
+    // until the next rebuild reuse it without allocating.
+    nodes_.clear();
     by_id_.clear();
     dead_ = 0;
     alive_ = 0;
@@ -234,15 +221,16 @@ class PointQuadtree final : public SpatialIndex {
     }
   }
 
-  void collect(const Node* n, std::vector<Entry>& out) const {
-    if (!n) return;
-    if (n->alive) out.push_back({n->id, n->pos});
-    for (const auto& c : n->child) collect(c.get(), out);
+  void collect(std::uint32_t index, std::vector<Entry>& out) const {
+    const Node& n = nodes_[index];
+    if (n.alive) out.push_back({n.id, n.pos});
+    for (const std::uint32_t c : n.child) {
+      if (c != kNone) collect(c, out);
+    }
   }
 
-  std::unique_ptr<Node> root_;
-  std::vector<std::unique_ptr<Node>> free_;
-  std::unordered_map<ObjectId, Node*> by_id_;
+  std::vector<Node> nodes_;
+  util::OidMap<std::uint32_t> by_id_;  // ObjectId -> live node's index
   std::size_t alive_ = 0;
   std::size_t dead_ = 0;
 };

@@ -11,28 +11,26 @@ SightingDb::SightingDb(spatial::IndexFactory index_factory)
 void SightingDb::insert(const core::Sighting& s, double offered_acc,
                         TimePoint expiry) {
   MaybeGuard guard(slice_mu_);
-  assert(records_.find(s.oid) == records_.end());
-  Record rec;
-  rec.sighting = s;
-  rec.offered_acc = offered_acc;
-  rec.expiry = expiry;
-  rec.generation = next_generation_++;
-  records_.emplace(s.oid, rec);
+  const auto [rec, inserted] = records_.try_emplace(s.oid);
+  assert(inserted);
+  (void)inserted;
+  rec->sighting = s;
+  rec->offered_acc = offered_acc;
+  rec->expiry = expiry;
+  rec->generation = next_generation_++;
   index_->insert(s.oid, s.pos);
-  expiry_heap_.push_back({expiry, s.oid, rec.generation});
-  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
+  push_expiry(s.oid, *rec);
 }
 
 bool SightingDb::update(const core::Sighting& s, TimePoint expiry) {
   MaybeGuard guard(slice_mu_);
-  const auto it = records_.find(s.oid);
-  if (it == records_.end()) return false;
-  it->second.sighting = s;
-  it->second.expiry = expiry;
-  it->second.generation = next_generation_++;
+  Record* rec = records_.find(s.oid);
+  if (rec == nullptr) return false;
+  rec->sighting = s;
+  rec->expiry = expiry;
+  rec->generation = next_generation_++;
   index_->update(s.oid, s.pos);
-  expiry_heap_.push_back({expiry, s.oid, it->second.generation});
-  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
+  push_expiry(s.oid, *rec);
   return true;
 }
 
@@ -40,41 +38,53 @@ void SightingDb::apply_batch(const std::vector<BulkUpdate>& items,
                              TimePoint expiry) {
   MaybeGuard guard(slice_mu_);
   for (const BulkUpdate& item : items) {
-    const auto [it, inserted] = records_.try_emplace(item.s.oid);
-    Record& rec = it->second;
-    rec.sighting = item.s;
-    rec.offered_acc = item.offered_acc;
-    rec.expiry = expiry;
-    rec.generation = next_generation_++;
+    const auto [rec, inserted] = records_.try_emplace(item.s.oid);
+    rec->sighting = item.s;
+    rec->offered_acc = item.offered_acc;
+    rec->expiry = expiry;
+    rec->generation = next_generation_++;
     if (inserted) {
       index_->insert(item.s.oid, item.s.pos);
     } else {
       index_->update(item.s.oid, item.s.pos);
     }
-    expiry_heap_.push_back({expiry, item.s.oid, rec.generation});
-    std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
+    push_expiry(item.s.oid, *rec);
   }
+}
+
+void SightingDb::push_expiry(ObjectId oid, const Record& rec) {
+  expiry_heap_.push_back({rec.expiry, oid, rec.generation});
+  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
+  bound_expiry_heap();
+}
+
+void SightingDb::bound_expiry_heap() {
+  if (expiry_heap_.size() <= 2 * records_.size() + 64) return;
+  // Amortized O(1): at least size() + 64 pushes or size() / 2 + 32 removals
+  // separate two rebuilds.
+  expiry_heap_.clear();
+  records_.for_each([this](ObjectId oid, const Record& rec) {
+    expiry_heap_.push_back({rec.expiry, oid, rec.generation});
+  });
+  std::make_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
 }
 
 bool SightingDb::remove(ObjectId oid) {
   MaybeGuard guard(slice_mu_);
-  const auto it = records_.find(oid);
-  if (it == records_.end()) return false;
+  if (!records_.erase(oid)) return false;
   index_->remove(oid);
-  records_.erase(it);
   // Heap entries for this object become stale and are skipped lazily.
+  bound_expiry_heap();
   return true;
 }
 
 const SightingDb::Record* SightingDb::find(ObjectId oid) const {
-  const auto it = records_.find(oid);
-  return it == records_.end() ? nullptr : &it->second;
+  return records_.find(oid);
 }
 
 void SightingDb::set_offered_acc(ObjectId oid, double offered_acc) {
   MaybeGuard guard(slice_mu_);
-  const auto it = records_.find(oid);
-  if (it != records_.end()) it->second.offered_acc = offered_acc;
+  if (Record* rec = records_.find(oid)) rec->offered_acc = offered_acc;
 }
 
 std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
@@ -84,14 +94,15 @@ std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
     const HeapEntry entry = expiry_heap_.front();
     std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), std::greater<>{});
     expiry_heap_.pop_back();
-    const auto it = records_.find(entry.oid);
-    if (it == records_.end() || it->second.generation != entry.generation) {
+    const Record* rec = records_.find(entry.oid);
+    if (rec == nullptr || rec->generation != entry.generation) {
       continue;  // stale heap entry (updated or removed since)
     }
     index_->remove(entry.oid);
-    records_.erase(it);
+    records_.erase(entry.oid);
     expired.push_back(entry.oid);
   }
+  bound_expiry_heap();
   return expired;
 }
 
@@ -117,10 +128,10 @@ std::vector<core::ObjectResult> SightingDb::k_nearest(geo::Point p, std::size_t 
     const auto entries = index_->k_nearest(p, fetch);
     result.clear();
     for (const spatial::Entry& e : entries) {
-      const auto it = records_.find(e.id);
-      assert(it != records_.end());
-      if (it->second.offered_acc > req_acc) continue;
-      result.push_back({e.id, {e.pos, it->second.offered_acc}});
+      const Record* rec = records_.find(e.id);
+      assert(rec != nullptr);
+      if (rec->offered_acc > req_acc) continue;
+      result.push_back({e.id, {e.pos, rec->offered_acc}});
       if (result.size() == k) return result;
     }
     if (entries.size() < fetch) return result;  // exhausted the database

@@ -14,7 +14,6 @@
 
 #include <cassert>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hpp"
@@ -23,6 +22,7 @@
 #include "spatial/spatial_index.hpp"
 #include "util/clock.hpp"
 #include "util/ids.hpp"
+#include "util/oid_set.hpp"
 
 namespace locs::store {
 
@@ -108,14 +108,13 @@ class SightingDb {
     candidates_scratch_.clear();
     index_->query_rect(search, candidates_scratch_);
     for (const spatial::Entry& cand : candidates_scratch_) {
-      const auto it = records_.find(cand.id);
-      assert(it != records_.end());
-      const Record& rec = it->second;
-      if (rec.offered_acc > req_acc) continue;  // insufficient accuracy (§3.2)
+      const Record* rec = records_.find(cand.id);
+      assert(rec != nullptr);
+      if (rec->offered_acc > req_acc) continue;  // insufficient accuracy (§3.2)
       const double ov =
-          geo::overlap_degree(area, {rec.sighting.pos, rec.offered_acc});
+          geo::overlap_degree(area, {rec->sighting.pos, rec->offered_acc});
       if (ov >= req_overlap) {
-        sink(core::ObjectResult{cand.id, {rec.sighting.pos, rec.offered_acc}});
+        sink(core::ObjectResult{cand.id, {rec->sighting.pos, rec->offered_acc}});
       }
     }
   }
@@ -132,11 +131,10 @@ class SightingDb {
     candidates_scratch_.clear();
     index_->query_circle(circle, candidates_scratch_);
     for (const spatial::Entry& cand : candidates_scratch_) {
-      const auto it = records_.find(cand.id);
-      assert(it != records_.end());
-      const Record& rec = it->second;
-      if (rec.offered_acc > req_acc) continue;
-      sink(core::ObjectResult{cand.id, {rec.sighting.pos, rec.offered_acc}});
+      const Record* rec = records_.find(cand.id);
+      assert(rec != nullptr);
+      if (rec->offered_acc > req_acc) continue;
+      sink(core::ObjectResult{cand.id, {rec->sighting.pos, rec->offered_acc}});
     }
   }
 
@@ -153,10 +151,15 @@ class SightingDb {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     MaybeGuard g(slice_mu_);
-    for (const auto& [oid, rec] : records_) fn(oid, rec);
+    records_.for_each(fn);
   }
 
   const spatial::SpatialIndex& index() const { return *index_; }
+
+  /// Entries in the lazy expiry heap, live and stale. Every mutator keeps it
+  /// at most 2 * size() + 64 (see bound_expiry_heap), whatever the update
+  /// rate.
+  std::size_t expiry_heap_size() const { return expiry_heap_.size(); }
 
   /// Sharding hook (core/sharded_location_server): when this db is one slice
   /// of a sharded leaf, mutations from the owning shard reactor must be
@@ -175,8 +178,21 @@ class SightingDb {
     TimePoint expiry;
     ObjectId oid;
     std::uint64_t generation;
-    bool operator>(const HeapEntry& other) const { return expiry > other.expiry; }
+    // (expiry, oid): expire_until pops in an order the heap layout cannot
+    // change. Entries equal on both are one object's stale duplicates, of
+    // which at most one is live.
+    bool operator>(const HeapEntry& other) const {
+      if (expiry != other.expiry) return expiry > other.expiry;
+      return other.oid < oid;
+    }
   };
+
+  /// Pushes the record's current expiry entry, then bounds the heap.
+  void push_expiry(ObjectId oid, const Record& rec);
+  /// Rebuilds the heap from the live records once it holds more than
+  /// 2 * size() + 64 entries, so it grows with the objects, not with the
+  /// updates per TTL (one stale entry is left behind per update).
+  void bound_expiry_heap();
 
   spatial::IndexFactory index_factory_;
   std::unique_ptr<spatial::SpatialIndex> index_;
@@ -184,7 +200,8 @@ class SightingDb {
   // owning server is a single-threaded reactor, so const queries never run
   // concurrently).
   mutable std::vector<spatial::Entry> candidates_scratch_;
-  std::unordered_map<ObjectId, Record> records_;
+  // Reference-stable: core/ keeps Record pointers across other mutations.
+  util::StableOidMap<Record> records_;
   std::vector<HeapEntry> expiry_heap_;  // min-heap via std::push_heap
   std::uint64_t next_generation_ = 1;
   std::mutex* slice_mu_ = nullptr;  // see set_slice_lock

@@ -66,8 +66,8 @@ void VisitorDb::apply_record(const std::uint8_t* data, std::size_t len) {
     case LogOp::kSetAcc: {
       const double acc = r.f64();
       if (!r.ok()) return;
-      const auto it = records_.find(oid);
-      if (it != records_.end() && it->second.leaf) it->second.leaf->offered_acc = acc;
+      VisitorRecord* rec = records_.find(oid);
+      if (rec != nullptr && rec->leaf) rec->leaf->offered_acc = acc;
       break;
     }
     case LogOp::kRemove:
@@ -94,14 +94,14 @@ void VisitorDb::insert_leaf(ObjectId oid, double offered_acc,
 }
 
 void VisitorDb::set_offered_acc(ObjectId oid, double offered_acc) {
-  const auto it = records_.find(oid);
-  if (it == records_.end() || !it->second.leaf) return;
-  it->second.leaf->offered_acc = offered_acc;
+  VisitorRecord* rec = records_.find(oid);
+  if (rec == nullptr || !rec->leaf) return;
+  rec->leaf->offered_acc = offered_acc;
   log_set_acc(oid, offered_acc);
 }
 
 bool VisitorDb::remove(ObjectId oid) {
-  if (records_.erase(oid) == 0) return false;
+  if (!records_.erase(oid)) return false;
   log_remove(oid);
   return true;
 }
@@ -110,7 +110,7 @@ std::size_t VisitorDb::remove_batch(std::span<const ObjectId> oids) {
   std::size_t removed = 0;
   std::vector<wire::Buffer> log_records;
   for (const ObjectId oid : oids) {
-    if (records_.erase(oid) == 0) continue;
+    if (!records_.erase(oid)) continue;
     ++removed;
     if (log_) log_records.push_back(make_remove_record(oid));
   }
@@ -119,15 +119,14 @@ std::size_t VisitorDb::remove_batch(std::span<const ObjectId> oids) {
 }
 
 const VisitorRecord* VisitorDb::find(ObjectId oid) const {
-  const auto it = records_.find(oid);
-  return it == records_.end() ? nullptr : &it->second;
+  return records_.find(oid);
 }
 
 Status VisitorDb::compact() {
   if (!log_) return Status::ok();
   std::vector<wire::Buffer> records;
   records.reserve(records_.size());
-  for (const auto& [oid, rec] : records_) {
+  records_.for_each([&](ObjectId oid, const VisitorRecord& rec) {
     wire::Buffer buf;
     wire::Writer w(buf);
     if (rec.leaf) {
@@ -144,7 +143,7 @@ Status VisitorDb::compact() {
     }
     w.flush();
     records.push_back(std::move(buf));
-  }
+  });
   return log_->rewrite(records);
 }
 

@@ -13,11 +13,11 @@
 
 #include <optional>
 #include <span>
-#include <unordered_map>
 
 #include "core/types.hpp"
 #include "store/persistent_log.hpp"
 #include "util/ids.hpp"
+#include "util/oid_set.hpp"
 
 namespace locs::store {
 
@@ -61,7 +61,7 @@ class VisitorDb {
   std::size_t remove_batch(std::span<const ObjectId> oids);
 
   const VisitorRecord* find(ObjectId oid) const;
-  bool contains(ObjectId oid) const { return records_.count(oid) > 0; }
+  bool contains(ObjectId oid) const { return records_.find(oid) != nullptr; }
   std::size_t size() const { return records_.size(); }
 
   /// Rewrites the log to exactly the current records (bounded recovery time).
@@ -80,7 +80,7 @@ class VisitorDb {
   /// Iteration (recovery: ask visitors for refresh; tests).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [oid, rec] : records_) fn(rec);
+    records_.for_each([&](ObjectId, const VisitorRecord& rec) { fn(rec); });
   }
 
  private:
@@ -90,7 +90,9 @@ class VisitorDb {
   void log_remove(ObjectId oid);
   void apply_record(const std::uint8_t* data, std::size_t len);
 
-  std::unordered_map<ObjectId, VisitorRecord> records_;
+  // Reference-stable: core/ keeps VisitorRecord pointers across other
+  // mutations.
+  util::StableOidMap<VisitorRecord> records_;
   std::optional<PersistentLog> log_;
 };
 

@@ -43,6 +43,16 @@ struct NodeId {
 /// The paper's epsilon: "For the root server s.parent is undefined".
 inline constexpr NodeId kNoNode{};
 
+/// The one ObjectId hash (SplitMix64 finalizer): ObjectIds are often
+/// sequential, this spreads them. std::hash<ObjectId> and the flat
+/// util::OidSet / util::OidMap tables all call it.
+constexpr std::uint64_t hash_oid(ObjectId id) noexcept {
+  std::uint64_t x = id.value + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 inline std::string to_string(ObjectId id) { return "o" + std::to_string(id.value); }
 inline std::string to_string(NodeId id) { return "n" + std::to_string(id.value); }
 
@@ -51,11 +61,7 @@ inline std::string to_string(NodeId id) { return "n" + std::to_string(id.value);
 template <>
 struct std::hash<locs::ObjectId> {
   std::size_t operator()(locs::ObjectId id) const noexcept {
-    // SplitMix64 finalizer: ObjectIds are often sequential, spread them.
-    std::uint64_t x = id.value + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(x ^ (x >> 31));
+    return static_cast<std::size_t>(locs::hash_oid(id));
   }
 };
 

@@ -1,4 +1,5 @@
-// Open-addressing ObjectId set with reusable capacity.
+// Open-addressing ObjectId tables: OidSet, OidMap and the reference-stable
+// StableOidMap built on OidMap. All three hash with locs::hash_oid.
 //
 // The query merge's dedup-on-emit needs a membership test per merged result,
 // twice per merge (size pass + copy pass). A node-based std::unordered_set
@@ -11,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -64,12 +67,7 @@ class OidSet {
   static constexpr std::uint64_t kEmptySlot = 0;  // ObjectId{0}: see insert
 
   std::size_t slot_of(std::uint64_t v) const {
-    // splitmix64 finalizer: sequential ids spread uniformly.
-    std::uint64_t x = v + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x) & (slots_.size() - 1);
+    return static_cast<std::size_t>(hash_oid(ObjectId{v})) & (slots_.size() - 1);
   }
 
   void grow() {
@@ -92,30 +90,72 @@ class OidSet {
 };
 
 /// Companion flat map (ObjectId -> V) with the same reuse contract: clear()
-/// keeps the slot array, operator[] allocates only on growth. The NN merge
+/// keeps the slot array, inserts allocate only on growth. The NN merge
 /// uses this for its candidate state -- a node-based std::unordered_map
 /// pays one heap node per candidate streamed off a probe sub-result.
 /// Iteration (for_each) runs in slot order; callers needing a canonical
 /// order must impose a total order themselves (the NN paths do: winner and
 /// nearObjSet are selected by (distance, id)).
+///
+/// Values live inline in the slots, so a pointer from find() or
+/// try_emplace() is valid only until the next insert or erase. erase() uses
+/// backward-shift deletion: the rest of the probe run moves up into the
+/// hole, so the table never holds tombstones.
 template <typename V>
 class OidMap {
  public:
-  V& operator[](ObjectId id) {
+  /// Returns (value, inserted); a newly inserted value is V{}.
+  std::pair<V*, bool> try_emplace(ObjectId id) {
     if (id.value == kEmptySlot) {
+      const bool added = !has_sentinel_;
+      if (added) sentinel_value_ = V{};
       has_sentinel_ = true;
-      return sentinel_value_;
+      return {&sentinel_value_, added};
     }
     if ((size_ + 1) * 10 > slots_.size() * 7) grow();
-    std::size_t i = slot_of(id.value);
-    while (slots_[i].key != kEmptySlot) {
-      if (slots_[i].key == id.value) return slots_[i].value;
-      i = (i + 1) & (slots_.size() - 1);
-    }
+    const std::size_t i = probe(id.value);
+    if (slots_[i].key == id.value) return {&slots_[i].value, false};
     slots_[i].key = id.value;
     slots_[i].value = V{};
     ++size_;
-    return slots_[i].value;
+    return {&slots_[i].value, true};
+  }
+
+  V& operator[](ObjectId id) { return *try_emplace(id).first; }
+
+  V* find(ObjectId id) {
+    if (id.value == kEmptySlot) return has_sentinel_ ? &sentinel_value_ : nullptr;
+    if (slots_.empty()) return nullptr;
+    const std::size_t i = probe(id.value);
+    return slots_[i].key == id.value ? &slots_[i].value : nullptr;
+  }
+  const V* find(ObjectId id) const { return const_cast<OidMap*>(this)->find(id); }
+
+  /// Removes `id`; returns true if it was present.
+  bool erase(ObjectId id) {
+    if (id.value == kEmptySlot) {
+      const bool had = has_sentinel_;
+      has_sentinel_ = false;
+      sentinel_value_ = V{};
+      return had;
+    }
+    if (slots_.empty()) return false;
+    std::size_t hole = probe(id.value);
+    if (slots_[hole].key != id.value) return false;
+    // A later member of the run may fill the hole iff the hole lies on its
+    // probe path, i.e. between its home slot and where it sits now.
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; slots_[j].key != kEmptySlot;
+         j = (j + 1) & mask) {
+      const std::size_t home = slot_of(slots_[j].key);
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = std::move(slots_[j]);
+        hole = j;
+      }
+    }
+    slots_[hole].key = kEmptySlot;
+    --size_;
+    return true;
   }
 
   void clear() {
@@ -145,24 +185,24 @@ class OidMap {
   };
 
   std::size_t slot_of(std::uint64_t v) const {
-    std::uint64_t x = v + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x) & (slots_.size() - 1);
+    return static_cast<std::size_t>(hash_oid(ObjectId{v})) & (slots_.size() - 1);
+  }
+
+  /// The slot holding `key`, else the empty slot that ends its probe run.
+  std::size_t probe(std::uint64_t key) const {
+    std::size_t i = slot_of(key);
+    while (slots_[i].key != kEmptySlot && slots_[i].key != key) {
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    return i;
   }
 
   void grow() {
     const std::size_t next_cap = slots_.empty() ? 64 : slots_.size() * 2;
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(next_cap, Slot{});
-    size_ = 0;
     for (Slot& slot : old) {
-      if (slot.key == kEmptySlot) continue;
-      std::size_t i = slot_of(slot.key);
-      while (slots_[i].key != kEmptySlot) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = std::move(slot);
-      ++size_;
+      if (slot.key != kEmptySlot) slots_[probe(slot.key)] = std::move(slot);
     }
   }
 
@@ -170,6 +210,72 @@ class OidMap {
   std::size_t size_ = 0;
   bool has_sentinel_ = false;
   V sentinel_value_{};
+};
+
+/// ObjectId -> V with std::unordered_map's reference contract: a value's
+/// address stays valid until that element is erased -- across growth and
+/// across other erases. An OidMap<std::uint32_t> maps each id to a slot of
+/// a chunked value store (std::deque never relocates its elements on
+/// push_back); erased slots are reset and reused through a free list. The
+/// leaf's sightingDB and visitorDB records live here, and core/ holds
+/// record pointers across unrelated mutations. Iteration runs in index slot
+/// order, like OidMap's.
+template <typename V>
+class StableOidMap {
+ public:
+  /// Returns (value, inserted); a newly inserted value is V{}.
+  std::pair<V*, bool> try_emplace(ObjectId id) {
+    const auto [slot, inserted] = index_.try_emplace(id);
+    if (!inserted) return {&values_[*slot], false};
+    if (free_.empty()) {
+      *slot = static_cast<std::uint32_t>(values_.size());
+      values_.emplace_back();
+    } else {
+      *slot = free_.back();
+      free_.pop_back();
+    }
+    return {&values_[*slot], true};
+  }
+
+  V& operator[](ObjectId id) { return *try_emplace(id).first; }
+
+  V* find(ObjectId id) {
+    const std::uint32_t* slot = index_.find(id);
+    return slot == nullptr ? nullptr : &values_[*slot];
+  }
+  const V* find(ObjectId id) const {
+    return const_cast<StableOidMap*>(this)->find(id);
+  }
+
+  /// Removes `id`; returns true if it was present.
+  bool erase(ObjectId id) {
+    const std::uint32_t* found = index_.find(id);
+    if (found == nullptr) return false;
+    const std::uint32_t slot = *found;
+    index_.erase(id);
+    values_[slot] = V{};  // release what the value owns before reuse
+    free_.push_back(slot);
+    return true;
+  }
+
+  void clear() {
+    index_.clear();
+    values_.clear();
+    free_.clear();
+  }
+
+  std::size_t size() const { return index_.size(); }
+
+  /// Invokes fn(ObjectId, const V&) per entry, in index slot order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    index_.for_each([&](ObjectId id, std::uint32_t slot) { fn(id, values_[slot]); });
+  }
+
+ private:
+  OidMap<std::uint32_t> index_;
+  std::deque<V> values_;
+  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace locs::util

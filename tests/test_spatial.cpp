@@ -205,6 +205,37 @@ TEST(PointQuadtree, TombstoneRebuildKeepsAnswers) {
   std::vector<Entry> got;
   index->query_rect(geo::Rect{{0, 0}, {100, 100}}, got);
   EXPECT_EQ(got.size(), truth.size());
+
+  // Update churn: a far move tombstones the old node, so with 200 live
+  // points a rebuild runs every ~200 updates -- about 15 over this loop.
+  // Answers are checked against brute force after every update, so after
+  // every rebuild.
+  for (int step = 0; step < 3000; ++step) {
+    auto it = truth.begin();
+    std::advance(it, static_cast<long>(rng.next_below(truth.size())));
+    it->second = {rng.uniform(0, 100), rng.uniform(0, 100)};
+    index->update(ObjectId{it->first}, it->second);
+    ASSERT_EQ(index->size(), truth.size()) << "step " << step;
+
+    const geo::Rect q = geo::Rect::from_center(
+        {rng.uniform(0, 100), rng.uniform(0, 100)}, rng.uniform(1, 40),
+        rng.uniform(1, 40));
+    got.clear();
+    index->query_rect(q, got);
+    ASSERT_EQ(ids_of(got), ids_of(brute_rect(truth, q))) << "step " << step;
+
+    const geo::Point p{rng.uniform(0, 100), rng.uniform(0, 100)};
+    const std::size_t k = 1 + rng.next_below(8);
+    const auto nearest = index->k_nearest(p, k);
+    std::vector<double> dists;
+    for (const auto& [id, pos] : truth) dists.push_back(geo::distance(pos, p));
+    std::sort(dists.begin(), dists.end());
+    ASSERT_EQ(nearest.size(), k) << "step " << step;
+    for (std::size_t i = 0; i < k; ++i) {
+      ASSERT_NEAR(geo::distance(nearest[i].pos, p), dists[i], 1e-9)
+          << "step " << step << " rank " << i;
+    }
+  }
 }
 
 TEST(RTree, DeepDeleteCondenses) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "store/persistent_log.hpp"
 #include "store/sighting_db.hpp"
@@ -165,6 +166,52 @@ TEST(SightingDb, RemovedObjectNeverExpires) {
   db.insert(sighting(1, 0, 0), 10, 1000);
   db.remove(ObjectId{1});
   EXPECT_TRUE(db.expire_until(10000).empty());
+}
+
+TEST(SightingDb, ExpiryHeapStaysBoundedUnderUpdateChurn) {
+  // Many updates to a few objects: each update leaves a stale heap entry
+  // behind, yet the heap must stay O(objects), and expiry must still pop
+  // exactly the due objects of a model, in (expiry, oid) order.
+  SightingDb db = make_db();
+  std::map<std::uint64_t, TimePoint> model;  // oid -> expiry
+  Rng rng(4242);
+  TimePoint now = 0;
+  std::size_t expired_total = 0;
+  for (int step = 0; step < 50000; ++step) {
+    // Each phase churns its own 12 objects; the last phase's ones expire.
+    const std::uint64_t oid = static_cast<std::uint64_t>(step / 5000) * 12 +
+                              rng.next_below(12);
+    const TimePoint expiry = now + 1000 + static_cast<TimePoint>(rng.next_below(400));
+    if (rng.next_double() < 0.03) {
+      EXPECT_EQ(db.remove(ObjectId{oid}), model.erase(oid) == 1);
+    } else if (model.count(oid) != 0) {
+      ASSERT_TRUE(db.update(sighting(oid, 1, 1), expiry));
+      model[oid] = expiry;
+    } else {
+      db.insert(sighting(oid, 1, 1), 10, expiry);
+      model[oid] = expiry;
+    }
+    ASSERT_LE(db.expiry_heap_size(), 2 * db.size() + 64) << "step " << step;
+    if (step % 100 == 99) {
+      now += 150;
+      std::vector<std::pair<TimePoint, std::uint64_t>> due;
+      for (auto it = model.begin(); it != model.end();) {
+        if (it->second <= now) {
+          due.emplace_back(it->second, it->first);
+          it = model.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      std::sort(due.begin(), due.end());
+      std::vector<ObjectId> expected;
+      for (const auto& [when, id] : due) expected.push_back(ObjectId{id});
+      ASSERT_EQ(db.expire_until(now), expected) << "step " << step;
+      expired_total += expected.size();
+      ASSERT_EQ(db.size(), model.size());
+    }
+  }
+  EXPECT_GT(expired_total, 0u);
 }
 
 TEST(SightingDb, ObjectsInAreaAppliesAccuracyAndOverlap) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "util/clock.hpp"
 #include "util/crc32.hpp"
 #include "util/ids.hpp"
 #include "util/metrics.hpp"
+#include "util/oid_set.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 
@@ -136,6 +140,154 @@ TEST(Ids, ObjectIdHashSpreads) {
     hashes.insert(std::hash<ObjectId>{}(ObjectId{i}));
   }
   EXPECT_EQ(hashes.size(), 1000u);
+}
+
+TEST(Ids, ObjectIdHashIsSharedFunction) {
+  for (std::uint64_t i : {0ULL, 1ULL, 42ULL, ~0ULL}) {
+    EXPECT_EQ(std::hash<ObjectId>{}(ObjectId{i}),
+              static_cast<std::size_t>(hash_oid(ObjectId{i})));
+  }
+}
+
+// --------------------------------------------------------------------------
+// Flat ObjectId tables
+
+TEST(OidMap, DifferentialAgainstUnorderedMap) {
+  // A small key range keeps probe runs long and erases frequent, so the
+  // backward shift runs over many layouts; key 0 is the out-of-band sentinel.
+  util::OidMap<std::uint64_t> map;
+  std::unordered_map<std::uint64_t, std::uint64_t> model;
+  Rng rng(20261017);
+  for (int step = 0; step < 200000; ++step) {
+    const ObjectId id{rng.next_below(600)};
+    const double roll = rng.next_double();
+    if (roll < 0.45) {
+      const auto [value, inserted] = map.try_emplace(id);
+      const auto [it, model_inserted] = model.try_emplace(id.value, 0);
+      ASSERT_EQ(inserted, model_inserted) << "step " << step;
+      *value = it->second = static_cast<std::uint64_t>(step);
+    } else if (roll < 0.8) {
+      ASSERT_EQ(map.erase(id), model.erase(id.value) == 1) << "step " << step;
+    } else {
+      const std::uint64_t* value = map.find(id);
+      const auto it = model.find(id.value);
+      ASSERT_EQ(value != nullptr, it != model.end()) << "step " << step;
+      if (value != nullptr) {
+        ASSERT_EQ(*value, it->second) << "step " << step;
+      }
+    }
+    ASSERT_EQ(map.size(), model.size()) << "step " << step;
+  }
+  for (const auto& [key, value] : model) {
+    const std::uint64_t* found = map.find(ObjectId{key});
+    ASSERT_NE(found, nullptr) << key;
+    EXPECT_EQ(*found, value);
+  }
+}
+
+TEST(OidMap, EraseShiftWrapsPastTableEnd) {
+  // Six keys whose home is the last slot of the initial 64-slot table: they
+  // occupy slots 63, 0, 1, ... so every erase shifts a run across the end.
+  std::vector<ObjectId> wrap;
+  for (std::uint64_t v = 1; wrap.size() < 6; ++v) {
+    if ((hash_oid(ObjectId{v}) & 63) == 63) wrap.push_back(ObjectId{v});
+  }
+  // Plus keys homed at slots 0 and 1, which the wrapped run displaces.
+  std::vector<ObjectId> low;
+  for (std::uint64_t v = 1; low.size() < 2; ++v) {
+    if ((hash_oid(ObjectId{v}) & 63) == low.size()) low.push_back(ObjectId{v});
+  }
+  for (std::size_t erase_at = 0; erase_at < wrap.size(); ++erase_at) {
+    util::OidMap<std::uint64_t> map;
+    for (const ObjectId id : wrap) map[id] = id.value;
+    for (const ObjectId id : low) map[id] = id.value;
+    ASSERT_TRUE(map.erase(wrap[erase_at]));
+    EXPECT_EQ(map.find(wrap[erase_at]), nullptr);
+    EXPECT_FALSE(map.erase(wrap[erase_at]));
+    for (const ObjectId id : wrap) {
+      if (id == wrap[erase_at]) continue;
+      const std::uint64_t* v = map.find(id);
+      ASSERT_NE(v, nullptr) << "erase_at " << erase_at << " lost " << id.value;
+      EXPECT_EQ(*v, id.value);
+    }
+    for (const ObjectId id : low) {
+      const std::uint64_t* v = map.find(id);
+      ASSERT_NE(v, nullptr) << "erase_at " << erase_at << " lost " << id.value;
+      EXPECT_EQ(*v, id.value);
+    }
+    EXPECT_EQ(map.size(), wrap.size() + low.size() - 1);
+  }
+}
+
+TEST(OidMap, ZeroIdIsAnOrdinaryKey) {
+  util::OidMap<int> map;
+  EXPECT_EQ(map.find(ObjectId{0}), nullptr);
+  map[ObjectId{0}] = 7;
+  map[ObjectId{1}] = 8;
+  ASSERT_NE(map.find(ObjectId{0}), nullptr);
+  EXPECT_EQ(*map.find(ObjectId{0}), 7);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_TRUE(map.erase(ObjectId{0}));
+  EXPECT_FALSE(map.erase(ObjectId{0}));
+  EXPECT_EQ(map.find(ObjectId{0}), nullptr);
+  EXPECT_EQ(*map.find(ObjectId{1}), 8);
+  EXPECT_EQ(map.size(), 1u);
+  // Re-inserted after clear(), the sentinel starts from V{} like any key.
+  map[ObjectId{0}] = 9;
+  map.clear();
+  EXPECT_EQ(map[ObjectId{0}], 0);
+}
+
+TEST(StableOidMap, AddressesSurviveGrowthAndOtherErases) {
+  util::StableOidMap<std::vector<int>> map;
+  std::vector<std::pair<ObjectId, const std::vector<int>*>> kept;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    auto& v = map[ObjectId{i}];
+    v.assign(3, static_cast<int>(i));
+    kept.emplace_back(ObjectId{i}, &v);
+  }
+  // Growth of both the index and the value store, then erases of everything
+  // else and reuse of the freed slots.
+  for (std::uint64_t i = 1000; i < 21000; ++i) map[ObjectId{i}].push_back(1);
+  for (std::uint64_t i = 1000; i < 21000; i += 2) ASSERT_TRUE(map.erase(ObjectId{i}));
+  for (std::uint64_t i = 50000; i < 55000; ++i) map[ObjectId{i}].push_back(2);
+  for (const auto& [id, addr] : kept) {
+    ASSERT_EQ(map.find(id), addr) << id.value;
+    EXPECT_EQ(*addr, std::vector<int>(3, static_cast<int>(id.value)));
+  }
+  EXPECT_EQ(map.size(), 64u + 10000u + 5000u);
+  // A reused slot starts from a value-initialized V.
+  ASSERT_TRUE(map.erase(ObjectId{7}));
+  const auto [fresh, inserted] = map.try_emplace(ObjectId{7});
+  EXPECT_TRUE(inserted);
+  EXPECT_TRUE(fresh->empty());
+}
+
+TEST(StableOidMap, ForEachVisitsEachLiveKeyOnce) {
+  util::StableOidMap<std::uint64_t> map;
+  std::map<std::uint64_t, std::uint64_t> model;
+  Rng rng(77);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t key = rng.next_below(3000);
+    if (rng.next_double() < 0.6) {
+      map[ObjectId{key}] = key * 3;
+      model[key] = key * 3;
+    } else {
+      EXPECT_EQ(map.erase(ObjectId{key}), model.erase(key) == 1);
+    }
+  }
+  map[ObjectId{0}] = 0;  // the out-of-band sentinel key is visited too
+  model[0] = 0;
+  std::map<std::uint64_t, int> visits;
+  map.for_each([&](ObjectId id, const std::uint64_t& value) {
+    ++visits[id.value];
+    EXPECT_EQ(value, id.value * 3);
+  });
+  ASSERT_EQ(visits.size(), model.size());
+  for (const auto& [key, count] : visits) {
+    EXPECT_EQ(count, 1) << key;
+    EXPECT_EQ(model.count(key), 1u) << key;
+  }
 }
 
 TEST(Clock, ManualClockAdvances) {
