@@ -1008,6 +1008,12 @@ void LocationServer::flush_awaiting_refresh(ObjectId oid) {
 // range queries (Algorithm 6-5)
 
 void LocationServer::on_range_query_req(NodeId src, const wm::RangeQueryReq& m) {
+  if (!std::isfinite(m.req_acc)) {
+    // Client input: no offered accuracy is <= NaN, and an infinite margin
+    // leaves no enlarged area to route. Answer empty and complete at once.
+    send_msg(src, wm::RangeQueryRes{m.req_id, true, {}});
+    return;
+  }
   const geo::Polygon enlarged = geo::enlarge(m.area, std::max(m.req_acc, 0.0));
   const std::uint64_t internal_id = next_req_id();
   PendingRange pending;
@@ -1293,6 +1299,11 @@ void LocationServer::emit_range_result(NodeId client, std::uint64_t client_req_i
 // nearest-neighbor queries (expanding-ring search; semantics of §3.2)
 
 void LocationServer::on_nn_query_req(NodeId src, const wm::NNQueryReq& m) {
+  if (!std::isfinite(m.req_acc)) {
+    // Client input, rejected as in on_range_query_req: nothing found.
+    send_msg(src, wm::NNQueryRes{m.req_id, false, {}, {}});
+    return;
+  }
   PendingNN op;
   op.client = src;
   op.client_req_id = m.req_id;

@@ -81,6 +81,9 @@ double overlap_degree(const Polygon& area, const Circle& location_area) {
     // degenerates to point membership).
     return area.contains(location_area.center) ? 1.0 : 0.0;
   }
+  // A disk wholly inside overlaps exactly 1 (§3.2: "completely inside"); the
+  // boundary integral below rounds that to just under 1.0.
+  if (area.contains_disk(location_area.center, location_area.radius)) return 1.0;
   const double inter = circle_polygon_intersection_area(location_area, area);
   return std::clamp(inter / location_area.area(), 0.0, 1.0);
 }

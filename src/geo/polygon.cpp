@@ -19,6 +19,22 @@ double point_segment_distance2(Point p, Point a, Point b) {
   return distance2(p, a + ab * t);
 }
 
+/// Crossing-number rule, boundary excluded: true iff a ray from p crosses
+/// the ring an odd number of times.
+bool odd_crossings(const std::vector<Point>& ring, Point p) {
+  bool inside = false;
+  const std::size_t n = ring.size();
+  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
+    const Point& a = ring[i];
+    const Point& b = ring[j];
+    if ((a.y > p.y) != (b.y > p.y)) {
+      const double x_cross = (b.x - a.x) * (p.y - a.y) / (b.y - a.y) + a.x;
+      if (p.x < x_cross) inside = !inside;
+    }
+  }
+  return inside;
+}
+
 bool segments_intersect(Point a, Point b, Point c, Point d) {
   const auto orient = [](Point p, Point q, Point r) {
     const double v = cross(q - p, r - p);
@@ -98,16 +114,23 @@ bool Polygon::contains(Point p) const {
       return true;
     }
   }
-  bool inside = false;
-  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
-    const Point& a = vertices_[i];
-    const Point& b = vertices_[j];
-    if ((a.y > p.y) != (b.y > p.y)) {
-      const double x_cross = (b.x - a.x) * (p.y - a.y) / (b.y - a.y) + a.x;
-      if (p.x < x_cross) inside = !inside;
+  return odd_crossings(vertices_, p);
+}
+
+bool Polygon::contains_disk(Point center, double radius) const {
+  // Written so that a NaN center or radius fails it.
+  const bool in_bbox = center.x - radius >= bbox_.min.x && center.x + radius <= bbox_.max.x &&
+                       center.y - radius >= bbox_.min.y && center.y + radius <= bbox_.max.y;
+  if (empty() || !in_bbox) return false;
+  const double r2 = radius * radius;
+  const std::size_t n = vertices_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (point_segment_distance2(center, vertices_[i], vertices_[(i + 1) % n]) < r2) {
+      return false;
     }
   }
-  return inside;
+  // No edge cuts the disk, so it lies wholly on the center's side.
+  return odd_crossings(vertices_, center);
 }
 
 bool Polygon::is_convex() const {

@@ -47,6 +47,10 @@ class Polygon {
   /// gaps).
   bool contains(Point p) const;
 
+  /// True iff the closed disk (center, radius) lies inside the polygon: the
+  /// center is inside and no edge is closer to it than `radius`.
+  bool contains_disk(Point center, double radius) const;
+
   bool is_convex() const;
 
   /// Euclidean distance from p to the polygon (0 if inside).

@@ -65,7 +65,6 @@ class GridIndex final : public SpatialIndex {
   std::vector<Entry> k_nearest(geo::Point p, std::size_t k) const override {
     // Expanding ring of cells around p; stop once the k-th best distance is
     // covered by the scanned radius.
-    std::vector<Entry> best;
     const double cell_w = bounds_.width() / static_cast<double>(cols_);
     const double cell_h = bounds_.height() / static_cast<double>(rows_);
     const double step = std::max(std::min(cell_w, cell_h), 1e-6);
@@ -91,9 +90,11 @@ class GridIndex final : public SpatialIndex {
           return found;
         }
       }
-      radius *= 2.0;
+      // The last ring is max_radius itself, which returns whatever exists
+      // (fewer than k entries included).
+      radius = std::min(radius * 2.0, max_radius);
     }
-    return best;
+    return {};
   }
 
   std::size_t size() const override { return size_; }

@@ -19,6 +19,7 @@ void SightingDb::insert(const core::Sighting& s, double offered_acc,
   rec->expiry = expiry;
   rec->generation = next_generation_++;
   index_->insert(s.oid, s.pos);
+  acc_add(offered_acc);
   push_expiry(s.oid, *rec);
 }
 
@@ -39,6 +40,12 @@ void SightingDb::apply_batch(const std::vector<BulkUpdate>& items,
   MaybeGuard guard(slice_mu_);
   for (const BulkUpdate& item : items) {
     const auto [rec, inserted] = records_.try_emplace(item.s.oid);
+    if (inserted) {
+      acc_add(item.offered_acc);
+    } else if (rec->offered_acc != item.offered_acc) {
+      acc_sub(rec->offered_acc);
+      acc_add(item.offered_acc);
+    }
     rec->sighting = item.s;
     rec->offered_acc = item.offered_acc;
     rec->expiry = expiry;
@@ -50,6 +57,14 @@ void SightingDb::apply_batch(const std::vector<BulkUpdate>& items,
     }
     push_expiry(item.s.oid, *rec);
   }
+}
+
+void SightingDb::acc_add(double acc) { ++acc_hist_[acc]; }
+
+void SightingDb::acc_sub(double acc) {
+  const auto it = acc_hist_.find(acc);
+  assert(it != acc_hist_.end() && it->second > 0);
+  if (--it->second == 0) acc_hist_.erase(it);
 }
 
 void SightingDb::push_expiry(ObjectId oid, const Record& rec) {
@@ -71,7 +86,10 @@ void SightingDb::bound_expiry_heap() {
 
 bool SightingDb::remove(ObjectId oid) {
   MaybeGuard guard(slice_mu_);
-  if (!records_.erase(oid)) return false;
+  const Record* rec = records_.find(oid);
+  if (rec == nullptr) return false;
+  acc_sub(rec->offered_acc);
+  records_.erase(oid);
   index_->remove(oid);
   // Heap entries for this object become stale and are skipped lazily.
   bound_expiry_heap();
@@ -84,7 +102,11 @@ const SightingDb::Record* SightingDb::find(ObjectId oid) const {
 
 void SightingDb::set_offered_acc(ObjectId oid, double offered_acc) {
   MaybeGuard guard(slice_mu_);
-  if (Record* rec = records_.find(oid)) rec->offered_acc = offered_acc;
+  Record* rec = records_.find(oid);
+  if (rec == nullptr || rec->offered_acc == offered_acc) return;
+  acc_sub(rec->offered_acc);
+  acc_add(offered_acc);
+  rec->offered_acc = offered_acc;
 }
 
 std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
@@ -98,6 +120,7 @@ std::vector<ObjectId> SightingDb::expire_until(TimePoint now) {
     if (rec == nullptr || rec->generation != entry.generation) {
       continue;  // stale heap entry (updated or removed since)
     }
+    acc_sub(rec->offered_acc);
     index_->remove(entry.oid);
     records_.erase(entry.oid);
     expired.push_back(entry.oid);
@@ -121,17 +144,19 @@ void SightingDb::objects_in_circle(const geo::Circle& circle, double req_acc,
 
 std::vector<core::ObjectResult> SightingDb::k_nearest(geo::Point p, std::size_t k,
                                                       double req_acc) const {
-  // Over-fetch to compensate for accuracy filtering, then widen if needed.
   std::vector<core::ObjectResult> result;
+  // Nothing qualifies: skip the widening walks over the whole index.
+  if (k == 0 || !any_within(req_acc)) return result;
+  // Over-fetch to compensate for accuracy filtering, then widen if needed
+  // (with a single stored accuracy every entry qualifies: one walk).
   std::size_t fetch = k;
   while (true) {
     const auto entries = index_->k_nearest(p, fetch);
     result.clear();
     for (const spatial::Entry& e : entries) {
-      const Record* rec = records_.find(e.id);
-      assert(rec != nullptr);
-      if (rec->offered_acc > req_acc) continue;
-      result.push_back({e.id, {e.pos, rec->offered_acc}});
+      double acc = 0.0;
+      if (!candidate_acc(e.id, req_acc, acc)) continue;
+      result.push_back({e.id, {e.pos, acc}});
       if (result.size() == k) return result;
     }
     if (entries.size() < fetch) return result;  // exhausted the database
@@ -143,6 +168,7 @@ void SightingDb::clear() {
   MaybeGuard guard(slice_mu_);
   records_.clear();
   expiry_heap_.clear();
+  acc_hist_.clear();
   index_ = index_factory_();
 }
 

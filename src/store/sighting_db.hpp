@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cassert>
+#include <cmath>
+#include <map>
 #include <mutex>
 #include <vector>
 
@@ -99,22 +101,21 @@ class SightingDb {
   template <typename Sink>
   void objects_in_area_emit(const geo::Polygon& area, double req_acc,
                             double req_overlap, Sink&& sink) const {
-    if (area.empty()) return;
+    if (area.empty() || !any_within(req_acc)) return;
     req_overlap = std::max(req_overlap, kMinOverlap);
-    // Any qualifying object has ld.acc <= req_acc, so its stored position
-    // lies within req_acc of the area: the inflated bounding box is a
-    // complete candidate set.
-    const geo::Rect search = area.bounding_box().inflated(std::max(req_acc, 0.0));
+    // Any qualifying object has ld.acc <= min(req_acc, largest stored acc),
+    // so its stored position lies within that distance of the area: the
+    // inflated bounding box is a complete candidate set.
+    const double margin = std::min(req_acc, acc_hist_.rbegin()->first);
+    const geo::Rect search = area.bounding_box().inflated(std::max(margin, 0.0));
     candidates_scratch_.clear();
     index_->query_rect(search, candidates_scratch_);
     for (const spatial::Entry& cand : candidates_scratch_) {
-      const Record* rec = records_.find(cand.id);
-      assert(rec != nullptr);
-      if (rec->offered_acc > req_acc) continue;  // insufficient accuracy (§3.2)
-      const double ov =
-          geo::overlap_degree(area, {rec->sighting.pos, rec->offered_acc});
-      if (ov >= req_overlap) {
-        sink(core::ObjectResult{cand.id, {rec->sighting.pos, rec->offered_acc}});
+      double acc = 0.0;
+      if (!candidate_acc(cand.id, req_acc, acc)) continue;  // insufficient (§3.2)
+      const core::LocationDescriptor ld{cand.pos, acc};
+      if (geo::overlap_degree(area, ld.location_area()) >= req_overlap) {
+        sink(core::ObjectResult{cand.id, ld});
       }
     }
   }
@@ -128,13 +129,13 @@ class SightingDb {
   template <typename Sink>
   void objects_in_circle_emit(const geo::Circle& circle, double req_acc,
                               Sink&& sink) const {
+    if (!any_within(req_acc)) return;
     candidates_scratch_.clear();
     index_->query_circle(circle, candidates_scratch_);
     for (const spatial::Entry& cand : candidates_scratch_) {
-      const Record* rec = records_.find(cand.id);
-      assert(rec != nullptr);
-      if (rec->offered_acc > req_acc) continue;
-      sink(core::ObjectResult{cand.id, {rec->sighting.pos, rec->offered_acc}});
+      double acc = 0.0;
+      if (!candidate_acc(cand.id, req_acc, acc)) continue;
+      sink(core::ObjectResult{cand.id, {cand.pos, acc}});
     }
   }
 
@@ -155,6 +156,21 @@ class SightingDb {
   }
 
   const spatial::SpatialIndex& index() const { return *index_; }
+
+  /// Accuracy-histogram key order: ascending, NaN last and equal to itself
+  /// (the store does not validate offered_acc).
+  struct AccBefore {
+    bool operator()(double a, double b) const {
+      return a < b || (std::isnan(b) && !std::isnan(a));
+    }
+  };
+  /// How many stored records carry each distinct offered accuracy.
+  using AccHistogram = std::map<double, std::size_t, AccBefore>;
+  /// The accuracy histogram; exact after every mutator, O(log H) upkeep in
+  /// the number H of distinct accuracies. The read paths bound their search
+  /// by its largest accuracy and, when it holds a single one, filter
+  /// candidates without a record lookup.
+  const AccHistogram& accuracy_histogram() const { return acc_hist_; }
 
   /// Entries in the lazy expiry heap, live and stale. Every mutator keeps it
   /// at most 2 * size() + 64 (see bound_expiry_heap), whatever the update
@@ -187,6 +203,31 @@ class SightingDb {
     }
   };
 
+  /// Count one more / one fewer record with offered accuracy `acc`.
+  void acc_add(double acc);
+  void acc_sub(double acc);
+
+  /// Whether some stored record has offered_acc <= req_acc.
+  bool any_within(double req_acc) const {
+    return !acc_hist_.empty() && acc_hist_.begin()->first <= req_acc;
+  }
+
+  /// Accuracy filter of the read paths: sets `acc` to the candidate's offered
+  /// accuracy and returns whether it is <= req_acc. With one stored accuracy
+  /// (callers have checked any_within) the histogram answers without a
+  /// record lookup; index positions equal record positions, so the index
+  /// entry supplies the rest of the answer.
+  bool candidate_acc(ObjectId id, double req_acc, double& acc) const {
+    if (acc_hist_.size() == 1) {
+      acc = acc_hist_.begin()->first;
+      return true;
+    }
+    const Record* rec = records_.find(id);
+    assert(rec != nullptr);
+    acc = rec->offered_acc;
+    return acc <= req_acc;
+  }
+
   /// Pushes the record's current expiry entry, then bounds the heap.
   void push_expiry(ObjectId oid, const Record& rec);
   /// Rebuilds the heap from the live records once it holds more than
@@ -203,6 +244,7 @@ class SightingDb {
   // Reference-stable: core/ keeps Record pointers across other mutations.
   util::StableOidMap<Record> records_;
   std::vector<HeapEntry> expiry_heap_;  // min-heap via std::push_heap
+  AccHistogram acc_hist_;               // see accuracy_histogram
   std::uint64_t next_generation_ = 1;
   std::mutex* slice_mu_ = nullptr;  // see set_slice_lock
 };

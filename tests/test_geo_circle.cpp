@@ -76,10 +76,64 @@ TEST(OverlapDegree, MatchesFigure3Semantics) {
   // Fig 3: objects fully inside have overlap 1; outside 0; straddling in
   // between, compared against the required threshold.
   const Polygon area = Polygon::from_rect(Rect{{0, 0}, {100, 100}});
-  EXPECT_DOUBLE_EQ(overlap_degree(area, {{50, 50}, 10}), 1.0);      // o1 inside
+  EXPECT_EQ(overlap_degree(area, {{50, 50}, 10}), 1.0);             // o1 inside
   EXPECT_DOUBLE_EQ(overlap_degree(area, {{300, 300}, 10}), 0.0);    // o2 outside
   const double straddle = overlap_degree(area, {{0, 50}, 10});      // on the edge
   EXPECT_NEAR(straddle, 0.5, 1e-9);
+}
+
+// §3.2: a disk completely inside the area has overlap exactly 1, so a range
+// query with req_overlap = 1.0 must keep it. (A tolerance-based comparison
+// hides an overlap that rounds to just below 1.0.)
+TEST(OverlapDegree, DisksInsideAreExactlyOne) {
+  Rng rng(2024);
+  const Polygon square = Polygon::from_rect(Rect{{0, 0}, {100, 100}});
+  for (int i = 0; i < 100000; ++i) {
+    const Circle c{{rng.uniform(10, 90), rng.uniform(10, 90)}, 10};
+    ASSERT_EQ(overlap_degree(square, c), 1.0)
+        << "disk (" << c.center.x << "," << c.center.y << ") r=10, iteration " << i;
+  }
+  // Non-convex and rotated areas: keep the placements whose disk clears
+  // every edge.
+  const Polygon l_shape({{0, 0}, {400, 0}, {400, 200}, {200, 200}, {200, 400}, {0, 400}});
+  const Polygon diamond({{200, 0}, {400, 200}, {200, 400}, {0, 200}});
+  for (const Polygon* poly : {&l_shape, &diamond}) {
+    int inside = 0;
+    for (int i = 0; i < 20000; ++i) {
+      const Circle c{{rng.uniform(0, 400), rng.uniform(0, 400)}, rng.uniform(1, 30)};
+      if (!poly->contains(c.center)) continue;
+      // Distance from the center to each edge's line: a lower bound on its
+      // distance to the edge.
+      bool clear = true;
+      const auto& v = poly->vertices();
+      for (std::size_t k = 0; k < v.size(); ++k) {
+        const Point a = v[k];
+        const Point b = v[(k + 1) % v.size()];
+        if (std::abs(cross(b - a, c.center - a)) / distance(a, b) < c.radius + 1e-6) {
+          clear = false;
+        }
+      }
+      if (!clear) continue;
+      ++inside;
+      ASSERT_EQ(overlap_degree(*poly, c), 1.0)
+          << "disk (" << c.center.x << "," << c.center.y << ") r=" << c.radius;
+    }
+    EXPECT_GT(inside, 1000);
+  }
+}
+
+TEST(OverlapDegree, DiskTouchingTheBoundaryIsNotInside) {
+  const Polygon square = Polygon::from_rect(Rect{{0, 0}, {100, 100}});
+  EXPECT_TRUE(square.contains_disk({50, 50}, 50));   // tangent to all four edges
+  EXPECT_FALSE(square.contains_disk({50, 50}, 50.001));
+  EXPECT_FALSE(square.contains_disk({-20, 50}, 10));  // outside
+  EXPECT_LT(overlap_degree(square, {{95, 50}, 10}), 1.0);
+  EXPECT_GT(overlap_degree(square, {{95, 50}, 10}), 0.5);
+  // A disk in the notch of an L: its bounding box fits the L's, its center
+  // is inside, but the reflex corner cuts it.
+  const Polygon l_shape({{0, 0}, {40, 0}, {40, 20}, {20, 20}, {20, 40}, {0, 40}});
+  EXPECT_FALSE(l_shape.contains_disk({18, 18}, 5));
+  EXPECT_LT(overlap_degree(l_shape, {{18, 18}, 5}), 1.0);
 }
 
 TEST(OverlapDegree, ZeroRadiusDegeneratesToContainment) {

@@ -3,6 +3,9 @@
 // accuracy-bound model and client-side caching.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/local_service.hpp"
 #include "test_support.hpp"
 
@@ -104,6 +107,27 @@ TEST(RangeSemantics, ReturnedDescriptorsCarryOfferedAccuracy) {
       geo::Polygon::from_rect(geo::Rect{{300, 300}, {600, 600}}), 50.0, 0.3);
   ASSERT_EQ(res.size(), 1u);
   EXPECT_DOUBLE_EQ(res[0].ld.acc, 35.0);  // ld.acc = offeredAcc
+}
+
+// reqAcc arrives from the client. No offered accuracy is <= NaN, and an
+// infinite bound cannot enlarge the area to route, so the entry answers a
+// non-finite reqAcc at once: an empty range result, no nearest neighbor.
+TEST(AccuracyModel, NonFiniteReqAccMatchesNothing) {
+  for (const int levels : {1, 2}) {
+    core::LocalLocationService::Config cfg = config();
+    cfg.levels = levels;
+    core::LocalLocationService ls(cfg);
+    ls.register_object(ObjectId{1}, {450, 450}, 1.0, {20.0, 100.0}).value();
+    const geo::Polygon area = geo::Polygon::from_rect(geo::Rect{{300, 300}, {600, 600}});
+    for (const double req_acc : {std::nan(""), std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()}) {
+      SCOPED_TRACE(testing::Message() << "levels " << levels << " req_acc " << req_acc);
+      EXPECT_TRUE(ls.range_query(area, req_acc, 0.3).empty());
+      EXPECT_FALSE(ls.neighbor_query({500, 500}, req_acc, 10.0).found);
+    }
+    EXPECT_EQ(ls.range_query(area, 50.0, 0.3).size(), 1u);
+    EXPECT_TRUE(ls.neighbor_query({500, 500}, 50.0, 10.0).found);
+  }
 }
 
 TEST(AccuracyModel, BoundGrowsWithTimeAndSpeed) {

@@ -79,6 +79,28 @@ TEST(RangeQuery, BoundaryObjectFoundViaEnlargeMargin) {
   EXPECT_EQ(sorted_ids(res.objects), (std::vector<ObjectId>{ObjectId{1}}));
 }
 
+TEST(RangeQuery, FullOverlapKeepsEveryDiskInside) {
+  // §3.2: req_overlap = 1.0 asks for the objects "completely inside" the
+  // area. Every disk placed wholly inside must be returned -- none may be
+  // lost to an overlap degree that rounds to just below 1.0.
+  SimWorld world(core::HierarchyBuilder::fig6(kArea));
+  const geo::Polygon area = geo::Polygon::from_rect(geo::Rect{{50, 50}, {450, 450}});
+  Rng rng(77);
+  std::vector<std::unique_ptr<TrackedObject>> objs;
+  std::vector<ObjectId> inside;
+  for (std::uint64_t i = 1; i <= 120; ++i) {
+    const geo::Point p{rng.uniform(60, 440), rng.uniform(60, 440)};
+    objs.push_back(world.register_object(ObjectId{i}, p, 1.0, {10.0, 50.0}));
+    inside.push_back(ObjectId{i});
+  }
+  // Straddling the area's edge: overlap about 0.5, not completely inside.
+  objs.push_back(world.register_object(ObjectId{500}, {50, 200}, 1.0, {10.0, 50.0}));
+  auto qc = world.make_query_client(NodeId{4});
+  const auto res = world.range_query(*qc, area, 25.0, 1.0);
+  EXPECT_TRUE(res.complete);
+  EXPECT_EQ(sorted_ids(res.objects), inside);
+}
+
 TEST(RangeQuery, AccuracyFilterExcludesCoarseObjects) {
   SimWorld world(core::HierarchyBuilder::fig6(kArea));
   auto fine = world.register_object(ObjectId{1}, {100, 100}, 1.0, {10.0, 50.0});

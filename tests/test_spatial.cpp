@@ -158,6 +158,17 @@ TEST_P(SpatialIndexContract, ClearEmptiesIndex) {
   EXPECT_EQ(index->size(), 1u);
 }
 
+TEST_P(SpatialIndexContract, KNearestWithFewerThanKEntriesReturnsThemAll) {
+  auto index = make();
+  EXPECT_TRUE(index->k_nearest({500, 500}, 3).empty());
+  index->insert(ObjectId{1}, {10, 10});
+  index->insert(ObjectId{2}, {990, 990});
+  const auto got = index->k_nearest({0, 0}, 5);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].id, ObjectId{1});
+  EXPECT_EQ(got[1].id, ObjectId{2});
+}
+
 TEST_P(SpatialIndexContract, RemoveReturnsFalseForUnknown) {
   auto index = make();
   EXPECT_FALSE(index->remove(ObjectId{424242}));

@@ -256,6 +256,111 @@ TEST(SightingDb, KNearestRespectsAccuracyFilter) {
   EXPECT_EQ(nn[0].oid, ObjectId{2});
 }
 
+/// Forwards to a point quadtree and counts the index walks a query makes.
+class CountingIndex final : public spatial::SpatialIndex {
+ public:
+  struct Counts {
+    std::size_t k_nearest_calls = 0;
+    std::size_t rect_entries = 0;
+  };
+  explicit CountingIndex(Counts* counts)
+      : inner_(spatial::make_point_quadtree()), counts_(counts) {}
+
+  void insert(ObjectId id, geo::Point pos) override { inner_->insert(id, pos); }
+  bool remove(ObjectId id) override { return inner_->remove(id); }
+  void update(ObjectId id, geo::Point pos) override { inner_->update(id, pos); }
+  void query_rect(const geo::Rect& rect, std::vector<spatial::Entry>& out) const override {
+    const std::size_t before = out.size();
+    inner_->query_rect(rect, out);
+    counts_->rect_entries += out.size() - before;
+  }
+  std::vector<spatial::Entry> k_nearest(geo::Point p, std::size_t k) const override {
+    ++counts_->k_nearest_calls;
+    return inner_->k_nearest(p, k);
+  }
+  std::size_t size() const override { return inner_->size(); }
+  void clear() override { inner_->clear(); }
+  const char* name() const override { return "counting"; }
+
+ private:
+  std::unique_ptr<spatial::SpatialIndex> inner_;
+  Counts* counts_;
+};
+
+TEST(SightingDb, KNearestWithNothingAccurateEnoughSkipsTheIndex) {
+  CountingIndex::Counts counts;
+  SightingDb db([&] { return std::make_unique<CountingIndex>(&counts); });
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    db.insert(sighting(i, static_cast<double>(i % 40), static_cast<double>(i / 40)),
+              i % 2 == 0 ? 60.0 : 80.0, 1e9);
+  }
+  EXPECT_TRUE(db.k_nearest({5, 5}, 3, 50.0).empty());
+  EXPECT_EQ(counts.k_nearest_calls, 0u);  // not log2(n/k) walks that find nothing
+  EXPECT_TRUE(db.k_nearest({5, 5}, 0, 100.0).empty());
+  EXPECT_EQ(counts.k_nearest_calls, 0u);
+  // One qualifying object: the widening walks still find it.
+  db.set_offered_acc(ObjectId{999}, 10.0);
+  const auto nn = db.k_nearest({5, 5}, 3, 50.0);
+  ASSERT_EQ(nn.size(), 1u);
+  EXPECT_EQ(nn[0].oid, ObjectId{999});
+  EXPECT_EQ(nn[0].ld.acc, 10.0);
+  EXPECT_GT(counts.k_nearest_calls, 1u);
+}
+
+TEST(SightingDb, UniformAccuracyKNearestWalksOnce) {
+  CountingIndex::Counts counts;
+  SightingDb db([&] { return std::make_unique<CountingIndex>(&counts); });
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    db.insert(sighting(i, static_cast<double>(i), 0), 10.0, 1e9);
+  }
+  const auto nn = db.k_nearest({0, 0}, 3, 100.0);
+  ASSERT_EQ(nn.size(), 3u);
+  EXPECT_EQ(nn[0].oid, ObjectId{0});
+  EXPECT_EQ(nn[2].ld, (core::LocationDescriptor{{2, 0}, 10.0}));
+  EXPECT_EQ(counts.k_nearest_calls, 1u);
+}
+
+TEST(SightingDb, AreaSearchBoxShrinksToTheStoredAccuracies) {
+  // Every stored accuracy is 10: a req_acc of 100 must not widen the index
+  // search to objects 100 away, which could never qualify.
+  CountingIndex::Counts counts;
+  SightingDb db([&] { return std::make_unique<CountingIndex>(&counts); });
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    db.insert(sighting(i, static_cast<double>(i % 20) * 10.0,
+                       static_cast<double>(i / 20) * 10.0),
+              10.0, 1e9);
+  }
+  const geo::Polygon area = geo::Polygon::from_rect(geo::Rect{{80, 80}, {110, 110}});
+  std::vector<core::ObjectResult> out;
+  db.objects_in_area(area, 100.0, 0.9, out);
+  EXPECT_EQ(out.size(), 4u);            // the disks inside: centers 90 and 100
+  EXPECT_EQ(counts.rect_entries, 36u);  // the 6x6 grid points in [70,120]^2
+  counts.rect_entries = 0;
+  out.clear();
+  db.objects_in_area(area, 5.0, 0.5, out);  // req_acc below every stored acc
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(counts.rect_entries, 0u);
+}
+
+TEST(SightingDb, AccuracyHistogramTracksEveryMutator) {
+  using Hist = SightingDb::AccHistogram;
+  SightingDb db = make_db();
+  EXPECT_EQ(db.accuracy_histogram(), Hist{});
+  db.insert(sighting(1, 0, 0), 10.0, 100);
+  db.insert(sighting(2, 1, 0), 30.0, 200);
+  db.apply_batch({{sighting(3, 2, 0), 10.0}, {sighting(2, 3, 0), 20.0}}, 300);
+  EXPECT_EQ(db.accuracy_histogram(), (Hist{{10.0, 2}, {20.0, 1}}));
+  db.set_offered_acc(ObjectId{1}, 20.0);
+  EXPECT_EQ(db.accuracy_histogram(), (Hist{{10.0, 1}, {20.0, 2}}));
+  EXPECT_TRUE(db.remove(ObjectId{3}));
+  EXPECT_EQ(db.accuracy_histogram(), (Hist{{20.0, 2}}));
+  db.update(sighting(1, 5, 5), 400);  // expiry 400: outlives object 2's 300
+  EXPECT_EQ(db.expire_until(300), (std::vector<ObjectId>{ObjectId{2}}));
+  EXPECT_EQ(db.accuracy_histogram(), (Hist{{20.0, 1}}));
+  db.clear();
+  EXPECT_EQ(db.accuracy_histogram(), Hist{});
+}
+
 TEST(SightingDb, ClearResets) {
   SightingDb db = make_db();
   db.insert(sighting(1, 0, 0), 10, 1000);
