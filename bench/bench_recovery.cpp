@@ -69,7 +69,7 @@ RunMetrics run_once(const std::string& tag) {
 
   net::SimNetwork net;
   core::Deployment::Config cfg;
-  cfg.visitor_db_factory = [&](NodeId id) {
+  cfg.visitor_db_factory = [&](NodeId id, std::uint32_t) {
     auto db = store::VisitorDb::open(
         (dir / ("visitor_" + std::to_string(id.value) + ".log")).string());
     return db.ok() ? std::move(db).value() : store::VisitorDb{};
@@ -241,7 +241,7 @@ ReplicatedMetrics run_replicated(const std::string& tag, bool fault) {
   core::Deployment::Config cfg;
   cfg.server.heartbeat_interval = seconds(1);
   cfg.server.heartbeat_miss_threshold = 3;
-  cfg.visitor_db_factory = [&](NodeId id) {
+  cfg.visitor_db_factory = [&](NodeId id, std::uint32_t) {
     auto db = store::VisitorDb::open(
         (dir / ("visitor_" + std::to_string(id.value) + ".log")).string());
     return db.ok() ? std::move(db).value() : store::VisitorDb{};

@@ -61,13 +61,7 @@ void Deployment::make_entry(const HierarchySpec::Node& node, Entry& entry) {
 
   const std::uint32_t shards =
       node.cfg.is_leaf() ? std::max(cfg_.leaf_shards, node.leaf_shards) : 1;
-  // A node-keyed visitor_db_factory cannot split a persistent visitorDB
-  // across shards (each shard persists only its own objects); without a
-  // shard-aware factory such a leaf stays a single reactor -- correctness
-  // (recovery, §5) beats scaling. See Config::sharded_visitor_db_factory.
-  const bool can_shard = !cfg_.visitor_db_factory || cfg_.sharded_visitor_db_factory;
-  if (can_shard &&
-      (shards > 1 || (cfg_.force_leaf_sharding && node.cfg.is_leaf()))) {
+  if (shards > 1 || (cfg_.force_leaf_sharding && node.cfg.is_leaf())) {
     ShardedLocationServer::Options sopts;
     sopts.shards = shards;
     sopts.threaded = cfg_.shard_threads;
@@ -75,8 +69,8 @@ void Deployment::make_entry(const HierarchySpec::Node& node, Entry& entry) {
     sopts.server = opts;
     sopts.balance = cfg_.leaf_balance;
     ShardedLocationServer::ShardVisitorDbFactory vdb_factory;
-    if (cfg_.sharded_visitor_db_factory) {
-      vdb_factory = [factory = cfg_.sharded_visitor_db_factory,
+    if (cfg_.visitor_db_factory) {
+      vdb_factory = [factory = cfg_.visitor_db_factory,
                      id = node.id](std::uint32_t shard) {
         return factory(id, shard);
       };
@@ -104,7 +98,7 @@ void Deployment::make_entry(const HierarchySpec::Node& node, Entry& entry) {
     server->open_tx_senders();
   } else {
     store::VisitorDb vdb;
-    if (cfg_.visitor_db_factory) vdb = cfg_.visitor_db_factory(node.id);
+    if (cfg_.visitor_db_factory) vdb = cfg_.visitor_db_factory(node.id, 0);
     entry.server = std::make_unique<LocationServer>(
         node.id, node.cfg, net_, clock_, opts, std::move(vdb), cfg_.index_factory);
     if (cfg_.lock_handlers && entry.mu == nullptr) {

@@ -33,15 +33,11 @@ class Deployment {
                                           LocationServer::Options)>
         options_fn;
     spatial::IndexFactory index_factory;  // default: point quadtree
-    /// Per-server persistent visitorDB factory (recovery tests / durable
-    /// deployments); default: in-memory. A node-keyed factory cannot be
-    /// split across shard reactors, so a leaf with BOTH this set and a
-    /// shard count > 1 stays a single reactor unless
-    /// sharded_visitor_db_factory is also provided.
-    std::function<store::VisitorDb(NodeId)> visitor_db_factory;
-    /// Shard-aware variant for sharded leaves: one (node, shard) visitorDB
-    /// per shard reactor (each shard persists only its own objects).
-    std::function<store::VisitorDb(NodeId, std::uint32_t)> sharded_visitor_db_factory;
+    /// Persistent visitorDB factory (recovery tests / durable deployments);
+    /// default: in-memory. Called once per (node, shard reactor): each shard
+    /// of a sharded leaf persists only its own objects, and unsharded nodes
+    /// are shard 0.
+    std::function<store::VisitorDb(NodeId, std::uint32_t)> visitor_db_factory;
     /// Serialize handle()/tick() per server (required over UdpNetwork).
     bool lock_handlers = false;
     /// Shard every leaf's object space across this many internal reactors

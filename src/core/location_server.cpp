@@ -117,10 +117,12 @@ void LocationServer::share_caches(LeafAreaCache* leaf, ObjectAgentCache* agent,
 void LocationServer::handle(const net::Datagram& dg) {
   const std::uint8_t* data = dg.data();
   const std::size_t len = dg.size();
-  // Zero-materialization fast path: packed query sub-results are consumed
-  // through a view straight off the receive buffer -- no envelope decode,
-  // no owned vectors (see the read-path invariants in the header). The view
-  // itself validates the message type, so only the version byte is peeked.
+  // Zero-materialization path: query sub-results are consumed through a
+  // view straight off the receive buffer -- no envelope decode, no owned
+  // vectors (see the read-path invariants in the header). The view itself
+  // validates the message type, so only the version byte is peeked. Every
+  // sub-result the envelope decode would accept is valid here, so the two
+  // sub-result types never reach the dispatch below.
   if (len > 1 && data[0] == wm::kWireVersionPacked) {
     wm::SubResView view(data, len);
     if (view.valid()) {
@@ -169,14 +171,10 @@ void LocationServer::handle(const net::Datagram& dg) {
           on_range_query_req(src, m);
         } else if constexpr (std::is_same_v<T, wm::RangeQueryFwd>) {
           on_range_query_fwd(src, m);
-        } else if constexpr (std::is_same_v<T, wm::RangeQuerySubRes>) {
-          on_range_query_sub_res(src, m);
         } else if constexpr (std::is_same_v<T, wm::NNQueryReq>) {
           on_nn_query_req(src, m);
         } else if constexpr (std::is_same_v<T, wm::NNProbeFwd>) {
           on_nn_probe_fwd(src, m);
-        } else if constexpr (std::is_same_v<T, wm::NNProbeSubRes>) {
-          on_nn_probe_sub_res(src, m);
         } else if constexpr (std::is_same_v<T, wm::ChangeAccReq>) {
           on_change_acc_req(src, m);
         } else if constexpr (std::is_same_v<T, wm::DeregisterReq>) {
@@ -1164,30 +1162,6 @@ void LocationServer::on_range_query_fwd(NodeId src, const wm::RangeQueryFwd& m) 
   }
 }
 
-void LocationServer::on_range_query_sub_res(NodeId src,
-                                            const wm::RangeQuerySubRes& m) {
-  // Legacy (version-1) or re-framed arrival: the packed bytes were already
-  // owned by the envelope decode, so re-frame them into a pooled segment by
-  // one copy. Version-2 datagrams never reach this handler -- they take the
-  // pinning view path (handle_sub_res_view).
-  (void)src;
-  const auto it = pending_range_.find(m.req_id);
-  if (it == pending_range_.end()) return;
-  learn_origin(m.origin);
-  it->second.covered += m.covered_size;
-  if (!m.results.empty()) {
-    SubSegment seg;
-    seg.buf = net::PooledBuffer(send_pool_, send_pool_->acquire());
-    seg.buf->assign(m.results.packed.begin(), m.results.packed.end());
-    seg.data = seg.buf->data();
-    seg.len = seg.buf->size();
-    seg.count = m.results.count;
-    ++stats_.sub_res_copied;
-    it->second.segments.push_back(std::move(seg));
-  }
-  try_complete_range(m.req_id);
-}
-
 void LocationServer::handle_sub_res_view(wm::SubResView& view,
                                          const net::Datagram& dg) {
   if (view.type() == wm::MsgType::kRangeQuerySubRes) {
@@ -1292,7 +1266,7 @@ void LocationServer::emit_range_result(NodeId client, std::uint64_t client_req_i
   pending.segments.clear();  // release the pinned receive buffers
   if (!client.valid()) return;
   ++stats_.msgs_sent;
-  net_.send(self_, client, std::move(out));
+  send_pooled(client, std::move(out));
 }
 
 // --------------------------------------------------------------------------
@@ -1434,20 +1408,6 @@ void LocationServer::on_nn_probe_fwd(NodeId src, const wm::NNProbeFwd& m) {
     send_msg(m.coordinator, sub);
   }
   route_nn_probe(m, src);
-}
-
-void LocationServer::on_nn_probe_sub_res(NodeId src, const wm::NNProbeSubRes& m) {
-  (void)src;
-  const auto it = pending_nn_.find(m.req_id);
-  if (it == pending_nn_.end()) return;
-  // Legacy (version-1) arrival; version-2 datagrams take the view path
-  // (handle_sub_res_view). Same lazy per-item merge either way.
-  learn_origin(m.origin);
-  it->second.covered += m.covered_size;
-  wm::PackedResults::Cursor cur = m.candidates.iter();
-  ObjectResult r;
-  while (cur.next(r)) it->second.candidates[r.oid] = r.ld;
-  check_nn_ring(m.req_id);
 }
 
 void LocationServer::check_nn_ring(std::uint64_t ring_key) {

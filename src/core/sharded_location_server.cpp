@@ -167,25 +167,13 @@ std::uint32_t ShardedLocationServer::route(const std::uint8_t* data,
 void ShardedLocationServer::handle(const net::Datagram& dg) {
   const std::uint8_t* data = dg.data();
   const std::size_t len = dg.size();
-  // Batched updates carry sightings for MANY objects: split them per owning
-  // shard instead of routing the whole datagram to one reactor.
+  // Object-keyed batches (updates, recovery sweeps, replica tees) list MANY
+  // objects: split them per owning shard, so each shard applies, refreshes
+  // or mirrors exactly its own slice. A malformed batch falls through to the
+  // default route (shard 0), which runs the full decode and counts the error.
   if (shards_.size() > 1 && len > 1 &&
-      static_cast<wire::MsgType>(data[1]) == wire::MsgType::kBatchedUpdateReq) {
-    if (split_batched_update(data, len)) return;
-    // Malformed batch: shard 0 runs the full decode and counts the error.
-  }
-  // Batched recovery sweeps likewise list MANY objects; each shard must
-  // refresh only the visitors of its own slice.
-  if (shards_.size() > 1 && len > 1 &&
-      static_cast<wire::MsgType>(data[1]) == wire::MsgType::kBatchedRefreshReq) {
-    if (split_batched_refresh(data, len)) return;
-  }
-  if (len > 1 &&
-      static_cast<wire::MsgType>(data[1]) == wire::MsgType::kReplicaTee) {
-    // Mirror stream from the primary: each packed entry routes to the shard
-    // owning its ObjectId, so every standby shard mirrors its own slice.
-    if (shards_.size() > 1 && split_replica_tee(data, len)) return;
-    deliver(*shards_[0], dg);
+      wire::is_object_batch_type(static_cast<wire::MsgType>(data[1])) &&
+      split_by_owner(data, len)) {
     return;
   }
   if (len > 1 &&
@@ -222,13 +210,13 @@ void ShardedLocationServer::deliver(Shard& sh, const net::Datagram& dg) {
   wake(sh);
 }
 
-bool ShardedLocationServer::split_batched_update(const std::uint8_t* data,
-                                                 std::size_t len) {
+bool ShardedLocationServer::split_by_owner(const std::uint8_t* data,
+                                           std::size_t len) {
   const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  // Pass 1: peek every sighting's owner; a batch that lands entirely on one
+  // Pass 1: peek every item's owner; a batch that lands entirely on one
   // shard (or is empty) forwards unchanged -- no copy, no re-framing.
   {
-    wire::BatchedUpdateView peek(data, len);
+    wire::ObjectBatchView peek(data, len);
     if (!peek.valid()) return false;
     bool mixed = false;
     std::uint32_t first = 0;
@@ -251,125 +239,13 @@ bool ShardedLocationServer::split_batched_update(const std::uint8_t* data,
   // Pass 2: re-frame. The item byte ranges are copied verbatim into
   // per-shard packed regions (scratch buffers, capacity reused), then each
   // sub-batch is re-enveloped under the ORIGINAL header bytes so the source
-  // node -- and with it the ack destination -- is preserved.
+  // node is preserved -- the ack destination of an update batch, the parent
+  // of a refresh sweep, the primary a replica shard verifies a tee against.
+  // Ascending shard order keeps inline SimNetwork execution deterministic.
   split_packed_.resize(n);
   split_counts_.assign(n, 0);
   for (auto& buf : split_packed_) buf.clear();
-  wire::BatchedUpdateView view(data, len);
-  while (const auto item = view.next()) {
-    const std::uint32_t owner = shard_for(item->oid);
-    split_packed_[owner].insert(split_packed_[owner].end(), item->data,
-                                item->data + item->len);
-    ++split_counts_[owner];
-  }
-  constexpr std::size_t kHeaderLen = 6;  // [version][type][src u32_fixed]
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (split_counts_[s] == 0) continue;
-    split_datagram_.clear();
-    wire::Writer w(split_datagram_);
-    w.reserve(kHeaderLen + 20 + split_packed_[s].size());
-    w.bytes(data, kHeaderLen);
-    w.u64(split_counts_[s]);
-    w.u64(split_packed_[s].size());
-    w.bytes(split_packed_[s].data(), split_packed_[s].size());
-    w.flush();
-    deliver(*shards_[s],
-            net::Datagram(split_datagram_.data(), split_datagram_.size()));
-  }
-  return true;
-}
-
-bool ShardedLocationServer::split_batched_refresh(const std::uint8_t* data,
-                                                  std::size_t len) {
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  // Pass 1: a sweep whose oids all hash to one shard forwards unchanged.
-  {
-    wire::BatchedRefreshView peek(data, len);
-    if (!peek.valid()) return false;
-    bool mixed = false;
-    std::uint32_t first = 0;
-    bool have_first = false;
-    while (const auto item = peek.next()) {
-      const std::uint32_t owner = shard_for(item->oid);
-      if (!have_first) {
-        first = owner;
-        have_first = true;
-      } else if (owner != first) {
-        mixed = true;
-        break;
-      }
-    }
-    if (!mixed) {
-      deliver(*shards_[have_first ? first : 0], net::Datagram(data, len));
-      return true;
-    }
-  }
-  // Pass 2: re-frame per owning shard under the ORIGINAL header bytes (the
-  // source node stays the parent, so replies route correctly). The item byte
-  // ranges are copied verbatim -- no re-encoding, so this splitter never
-  // duplicates the ObjectId wire format. Same scratch protocol as
-  // split_batched_update -- handle() runs in the node's single receive
-  // context.
-  split_packed_.resize(n);
-  split_counts_.assign(n, 0);
-  for (auto& buf : split_packed_) buf.clear();
-  wire::BatchedRefreshView view(data, len);
-  while (const auto item = view.next()) {
-    const std::uint32_t owner = shard_for(item->oid);
-    split_packed_[owner].insert(split_packed_[owner].end(), item->data,
-                                item->data + item->len);
-    ++split_counts_[owner];
-  }
-  constexpr std::size_t kHeaderLen = 6;  // [version][type][src u32_fixed]
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (split_counts_[s] == 0) continue;
-    split_datagram_.clear();
-    wire::Writer w(split_datagram_);
-    w.reserve(kHeaderLen + 20 + split_packed_[s].size());
-    w.bytes(data, kHeaderLen);
-    w.u64(split_counts_[s]);
-    w.u64(split_packed_[s].size());
-    w.bytes(split_packed_[s].data(), split_packed_[s].size());
-    w.flush();
-    deliver(*shards_[s],
-            net::Datagram(split_datagram_.data(), split_datagram_.size()));
-  }
-  return true;
-}
-
-bool ShardedLocationServer::split_replica_tee(const std::uint8_t* data,
-                                              std::size_t len) {
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  // Pass 1: a tee whose entries all belong to one shard forwards unchanged.
-  {
-    wire::ReplicaTeeView peek(data, len);
-    if (!peek.valid()) return false;
-    bool mixed = false;
-    std::uint32_t first = 0;
-    bool have_first = false;
-    while (const auto item = peek.next()) {
-      const std::uint32_t owner = shard_for(item->oid);
-      if (!have_first) {
-        first = owner;
-        have_first = true;
-      } else if (owner != first) {
-        mixed = true;
-        break;
-      }
-    }
-    if (!mixed) {
-      deliver(*shards_[have_first ? first : 0], net::Datagram(data, len));
-      return true;
-    }
-  }
-  // Pass 2: re-frame per owning shard under the ORIGINAL header bytes (the
-  // source stays the primary NodeId, which the replica shards verify against
-  // their standby_primary_). Entry byte ranges are copied verbatim; ascending
-  // shard order keeps inline SimNetwork execution deterministic.
-  split_packed_.resize(n);
-  split_counts_.assign(n, 0);
-  for (auto& buf : split_packed_) buf.clear();
-  wire::ReplicaTeeView view(data, len);
+  wire::ObjectBatchView view(data, len);
   while (const auto item = view.next()) {
     const std::uint32_t owner = shard_for(item->oid);
     split_packed_[owner].insert(split_packed_[owner].end(), item->data,
@@ -595,16 +471,6 @@ std::vector<ShardedLocationServer::ShardLoad> ShardedLocationServer::shard_loads
     loads.push_back(load);
   }
   return loads;
-}
-
-void ShardedLocationServer::encode_load_stats(wire::Buffer& out) {
-  wire::ShardLoadStats msg;
-  msg.seq = ++load_seq_;
-  for (const ShardLoad& load : shard_loads()) {
-    msg.append({load.shard, load.sightings, load.visitors, load.msgs_handled,
-                load.inbox_depth});
-  }
-  wire::encode_envelope_into(out, self_, msg);
 }
 
 void ShardedLocationServer::rebalance() {

@@ -41,8 +41,8 @@
 //
 // Fault tolerance: a restarted sharded leaf announces recovery once (shard 0
 // sends the RecoveryHello); the parent's BatchedRefreshReq sweep is split
-// per owning shard exactly like batched updates (wire::BatchedRefreshView),
-// so each shard refreshes only the visitors of its own slice.
+// per owning shard exactly like batched updates (wire::ObjectBatchView), so
+// each shard refreshes only the visitors of its own slice.
 #pragma once
 
 #include <array>
@@ -188,9 +188,8 @@ class ShardedLocationServer {
   }
 
   /// Point-in-time per-shard load snapshot (queue depth + occupancy): the
-  /// rebalancer's decision inputs, also exported over the wire via
-  /// encode_load_stats. Serialized against the shard reactors in threaded
-  /// mode.
+  /// rebalancer's decision inputs, also read by monitors. Serialized against
+  /// the shard reactors in threaded mode.
   struct ShardLoad {
     std::uint32_t shard = 0;
     std::size_t sightings = 0;     // slice SightingDb records
@@ -199,10 +198,6 @@ class ShardedLocationServer {
     std::size_t inbox_depth = 0;   // SPSC inbox backlog (threaded mode)
   };
   std::vector<ShardLoad> shard_loads() const;
-
-  /// Encodes the current shard loads as one wire::ShardLoadStats envelope
-  /// from this leaf's NodeId (monitoring export; sequence-stamped).
-  void encode_load_stats(wire::Buffer& out);
 
   /// Buckets re-assigned / visitors migrated by the rebalancer so far.
   std::uint64_t buckets_migrated() const {
@@ -296,23 +291,14 @@ class ShardedLocationServer {
   std::uint32_t route(const std::uint8_t* data, std::size_t len) const;
   /// Delivers one datagram to a shard (inline call or SPSC inbox push).
   void deliver(Shard& sh, const net::Datagram& dg);
-  /// Splits a BatchedUpdateReq per owning shard (wire::BatchedUpdateView
-  /// delimits each packed sighting without a full envelope decode). A batch whose
-  /// sightings all hash to one shard is forwarded unchanged; a straddling
-  /// batch is re-framed into per-shard sub-batches (ascending shard order,
-  /// keeping inline SimNetwork execution deterministic). Returns false if
-  /// the datagram is not a well-formed batch (caller falls back to shard 0).
-  bool split_batched_update(const std::uint8_t* data, std::size_t len);
-  /// Refresh analogue of split_batched_update: splits a BatchedRefreshReq
-  /// recovery sweep per owning shard (wire::BatchedRefreshView yields the
-  /// packed oids without a full decode). Returns false if the datagram is
-  /// not a well-formed refresh batch (caller falls back to shard 0).
-  bool split_batched_refresh(const std::uint8_t* data, std::size_t len);
-  /// Replication analogue: splits a ReplicaTee mirror stream per owning shard
-  /// (wire::ReplicaTeeView delimits each packed entry; the entry's leading
-  /// ObjectId picks the shard). Returns false if the datagram is not a
-  /// well-formed tee (caller falls back to shard 0).
-  bool split_replica_tee(const std::uint8_t* data, std::size_t len);
+  /// Splits an object-keyed batch (wire::is_object_batch_type) per owning
+  /// shard; wire::ObjectBatchView delimits each packed item without a full
+  /// envelope decode. A batch whose items all belong to one shard is
+  /// forwarded unchanged; a straddling batch is re-framed into per-shard
+  /// sub-batches under the original header (ascending shard order, keeping
+  /// inline SimNetwork execution deterministic). Returns false if the
+  /// datagram is not a well-formed batch (caller falls back to shard 0).
+  bool split_by_owner(const std::uint8_t* data, std::size_t len);
   void shard_loop(Shard& sh);
   void wake(Shard& sh);
   /// Applies queued sibling-shard sighting deltas on the coordinator shard.
@@ -364,7 +350,6 @@ class ShardedLocationServer {
   // stats/monitoring threads).
   wire::BucketMigrate migrate_scratch_;
   wire::Buffer migrate_datagram_;
-  std::uint64_t load_seq_ = 0;  // ShardLoadStats sequence stamp
   std::atomic<std::uint64_t> buckets_migrated_{0};
   std::atomic<std::uint64_t> objects_migrated_{0};
 

@@ -110,36 +110,12 @@ ObjectResult get_object_result(Reader& r) {
   return res;
 }
 
-/// Packed result list, current (version 2) framing: [count][packed_len]
-/// [packed] -- the packed bytes are emitted verbatim (built by append()).
+/// Packed result list (version-2 envelopes): [count][packed_len][packed] --
+/// the packed bytes are emitted verbatim (built by append()).
 void put(Writer& w, const PackedResults& v) {
   w.u64(v.count);
   w.u64(v.packed.size());
   w.bytes(v.packed.data(), v.packed.size());
-}
-
-/// Legacy (version 1) result-list decode: [n][results...]. The old element
-/// encoding is byte-identical to the packed region, so the raw bytes of the
-/// n results are captured into `packed` without re-encoding: probe-parse to
-/// find the region's end, then take it verbatim.
-void get_results_v1_into(Reader& r, PackedResults& out) {
-  out.clear();
-  out.count = r.u64();
-  if (!r.ok()) return;
-  if (out.count > 10'000'000) {
-    r.fail();
-    return;
-  }
-  Reader probe = r;
-  for (std::uint64_t i = 0; i < out.count; ++i) (void)get_object_result(probe);
-  if (!probe.ok()) {
-    out.count = 0;
-    r.fail();
-    return;
-  }
-  const std::size_t len = r.remaining() - probe.remaining();
-  const std::span<const std::uint8_t> bytes = r.bytes(len);
-  out.packed.assign(bytes.begin(), bytes.end());
 }
 
 void put(Writer& w, const std::optional<OriginArea>& origin) {
@@ -158,6 +134,23 @@ void get_origin_into(Reader& r, std::optional<OriginArea>& out) {
   if (!out) out.emplace();
   out->leaf = get_node(r);
   get_polygon_into(r, out->area);
+}
+
+/// One ReplicaTee entry: [op u8][sighting][offered_acc f64][expiry i64]
+/// [reg_info]. An out-of-range op fails the reader, which stops every
+/// iteration over the packed region.
+bool get_tee_entry(Reader& r, ReplicaTee::Entry& out) {
+  const std::uint8_t op = r.u8();
+  if (op > static_cast<std::uint8_t>(ReplicaTee::Op::kSetAcc)) {
+    r.fail();
+    return false;
+  }
+  out.op = static_cast<ReplicaTee::Op>(op);
+  out.s = get_sighting(r);
+  out.offered_acc = r.f64();
+  out.expiry = r.i64();
+  out.reg = get_reg_info(r);
+  return r.ok();
 }
 
 // --- per-message encode ------------------------------------------------------
@@ -379,13 +372,6 @@ void encode(Writer& w, const BatchedPathUpdate& m) {
   w.bytes(m.packed.data(), m.packed.size());
 }
 
-void encode(Writer& w, const ShardLoadStats& m) {
-  w.u64(m.seq);
-  w.u64(m.count);
-  w.u64(m.packed.size());
-  w.bytes(m.packed.data(), m.packed.size());
-}
-
 void encode(Writer& w, const BucketMigrate& m) {
   w.u32(m.bucket);
   w.u64(m.count);
@@ -447,7 +433,7 @@ void decode_into(Reader& r, UpdateAck& m) {
   m.offered_acc = r.f64();
 }
 
-/// Shared by both batched messages: owns the packed region (assign reuses
+/// Shared by every packed framing: owns the packed region (assign reuses
 /// the scratch buffer's capacity); the Cursors unpack it lazily later.
 void get_packed_into(Reader& r, std::uint64_t& count, Buffer& packed) {
   count = r.u64();
@@ -529,27 +515,17 @@ void decode_into(Reader& r, RangeQueryFwd& m) {
   m.direct = r.boolean();
 }
 
-/// Version-dispatched result-list decode: version 2 is the packed framing,
-/// version 1 the legacy vector layout (captured verbatim; see above).
-void get_results_into(Reader& r, PackedResults& out, std::uint8_t version) {
-  if (version == kWireVersionPacked) {
-    get_packed_into(r, out.count, out.packed);
-  } else {
-    get_results_v1_into(r, out);
-  }
-}
-
-void decode_into(Reader& r, RangeQuerySubRes& m, std::uint8_t version) {
+void decode_into(Reader& r, RangeQuerySubRes& m) {
   m.req_id = r.u64();
   m.covered_size = r.f64();
-  get_results_into(r, m.results, version);
+  get_packed_into(r, m.results.count, m.results.packed);
   get_origin_into(r, m.origin);
 }
 
-void decode_into(Reader& r, RangeQueryRes& m, std::uint8_t version) {
+void decode_into(Reader& r, RangeQueryRes& m) {
   m.req_id = r.u64();
   m.complete = r.boolean();
-  get_results_into(r, m.results, version);
+  get_packed_into(r, m.results.count, m.results.packed);
 }
 
 void decode_into(Reader& r, NNQueryReq& m) {
@@ -567,18 +543,18 @@ void decode_into(Reader& r, NNProbeFwd& m) {
   m.req_id = r.u64();
 }
 
-void decode_into(Reader& r, NNProbeSubRes& m, std::uint8_t version) {
+void decode_into(Reader& r, NNProbeSubRes& m) {
   m.req_id = r.u64();
   m.covered_size = r.f64();
-  get_results_into(r, m.candidates, version);
+  get_packed_into(r, m.candidates.count, m.candidates.packed);
   get_origin_into(r, m.origin);
 }
 
-void decode_into(Reader& r, NNQueryRes& m, std::uint8_t version) {
+void decode_into(Reader& r, NNQueryRes& m) {
   m.req_id = r.u64();
   m.found = r.boolean();
   m.nearest = get_object_result(r);
-  get_results_into(r, m.near_set, version);
+  get_packed_into(r, m.near_set.count, m.near_set.packed);
 }
 
 void decode_into(Reader& r, ChangeAccReq& m) {
@@ -649,11 +625,6 @@ void decode_into(Reader& r, BatchedPathUpdate& m) {
   get_packed_into(r, m.count, m.packed);
 }
 
-void decode_into(Reader& r, ShardLoadStats& m) {
-  m.seq = r.u64();
-  get_packed_into(r, m.count, m.packed);
-}
-
 void decode_into(Reader& r, BucketMigrate& m) {
   m.bucket = r.u32();
   get_packed_into(r, m.count, m.packed);
@@ -671,30 +642,6 @@ void decode_into(Reader& r, StandbyPromote& m) {
 void decode_into(Reader& r, StandbyDemote& m) {
   m.primary = get_node(r);
   m.incarnation = r.u64();
-}
-
-/// Uniform decode entry used by the envelope switch: most messages require a
-/// version-1 envelope; the packed query result types dispatch on the version
-/// byte (and so keep the legacy framing decodable).
-template <typename M>
-void decode_msg(Reader& r, M& m, std::uint8_t version) {
-  if (version != kWireVersion) {
-    r.fail();
-    return;
-  }
-  decode_into(r, m);
-}
-void decode_msg(Reader& r, RangeQuerySubRes& m, std::uint8_t version) {
-  decode_into(r, m, version);
-}
-void decode_msg(Reader& r, RangeQueryRes& m, std::uint8_t version) {
-  decode_into(r, m, version);
-}
-void decode_msg(Reader& r, NNProbeSubRes& m, std::uint8_t version) {
-  decode_into(r, m, version);
-}
-void decode_msg(Reader& r, NNQueryRes& m, std::uint8_t version) {
-  decode_into(r, m, version);
 }
 
 // --- per-message size hints --------------------------------------------------
@@ -765,9 +712,6 @@ std::size_t size_hint(const BatchedRefreshReq& m) {
 std::size_t size_hint(const BatchedPathUpdate& m) {
   return kEnvelopeBase + m.packed.size();
 }
-std::size_t size_hint(const ShardLoadStats& m) {
-  return kEnvelopeBase + m.packed.size();
-}
 std::size_t size_hint(const BucketMigrate& m) {
   return kEnvelopeBase + m.packed.size();
 }
@@ -775,18 +719,12 @@ std::size_t size_hint(const ReplicaTee& m) {
   return kEnvelopeBase + m.packed.size();
 }
 
-/// Envelope version stamp, keyed off the one shared predicate (header).
-template <typename M>
-constexpr std::uint8_t version_for() {
-  return is_packed_result_type(M::kType) ? kWireVersionPacked : kWireVersion;
-}
-
 template <typename M>
 void encode_envelope_impl(Buffer& out, NodeId src, const M& m) {
   out.clear();
   Writer w(out);
   w.reserve(size_hint(m));
-  w.u8(version_for<M>());
+  w.u8(wire_version_of(M::kType));
   w.u8(static_cast<std::uint8_t>(M::kType));
   w.u32_fixed(src.value);
   encode(w, m);
@@ -834,7 +772,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kRecoveryHello: return "RecoveryHello";
     case MsgType::kBatchedRefreshReq: return "BatchedRefreshReq";
     case MsgType::kBatchedPathUpdate: return "BatchedPathUpdate";
-    case MsgType::kShardLoadStats: return "ShardLoadStats";
     case MsgType::kBucketMigrate: return "BucketMigrate";
     case MsgType::kReplicaTee: return "ReplicaTee";
     case MsgType::kStandbyPromote: return "StandbyPromote";
@@ -890,13 +827,12 @@ std::optional<ResultCursor::Item> ResultCursor::next() {
 
 SubResView::SubResView(const std::uint8_t* data, std::size_t len) {
   Reader r(data, len);
-  // Envelope prefix: [version u8][type u8][src u32_fixed]. Only version-2
-  // (packed) framings are viewable; legacy version-1 datagrams take the full
-  // decode path.
-  if (r.u8() != kWireVersionPacked) return;
+  // Envelope prefix: [version u8][type u8][src u32_fixed].
+  const std::uint8_t version = r.u8();
   type_ = static_cast<MsgType>(r.u8());
   if (type_ != MsgType::kRangeQuerySubRes && type_ != MsgType::kNNProbeSubRes)
     return;
+  if (version != wire_version_of(type_)) return;
   src_ = NodeId{r.u32_fixed()};
   req_id_ = r.u64();
   covered_size_ = r.f64();
@@ -922,7 +858,7 @@ bool SubResView::origin(std::optional<OriginArea>& out) const {
 }
 
 void begin_envelope(Writer& w, NodeId src, MsgType type) {
-  w.u8(is_packed_result_type(type) ? kWireVersionPacked : kWireVersion);
+  w.u8(wire_version_of(type));
   w.u8(static_cast<std::uint8_t>(type));
   w.u32_fixed(src.value);
 }
@@ -983,27 +919,7 @@ bool BatchedRefreshReq::Cursor::next(ObjectId& out) {
   return r_.ok();
 }
 
-// --- shard load / bucket migration: packing / lazy unpacking -----------------
-
-void ShardLoadStats::append(const Entry& e) {
-  Writer w(packed);
-  w.u32(e.shard);
-  w.u64(e.sightings);
-  w.u64(e.visitors);
-  w.u64(e.msgs_handled);
-  w.u64(e.inbox_depth);
-  ++count;
-}
-
-bool ShardLoadStats::Cursor::next(Entry& out) {
-  if (r_.remaining() == 0) return false;
-  out.shard = r_.u32();
-  out.sightings = r_.u64();
-  out.visitors = r_.u64();
-  out.msgs_handled = r_.u64();
-  out.inbox_depth = r_.u64();
-  return r_.ok();
-}
+// --- bucket migration: packing / lazy unpacking -----------------------------
 
 void BucketMigrate::append(const Entry& e) {
   Writer w(packed);
@@ -1037,104 +953,47 @@ void ReplicaTee::append(const Entry& e) {
 
 bool ReplicaTee::Cursor::next(Entry& out) {
   if (r_.remaining() == 0) return false;
-  const std::uint8_t op = r_.u8();
-  if (op > static_cast<std::uint8_t>(Op::kSetAcc)) {
-    r_.fail();
-    return false;
+  return get_tee_entry(r_, out);
+}
+
+// --- object-keyed batch view (shard splitting) -------------------------------
+
+ObjectBatchView::ObjectBatchView(const std::uint8_t* data, std::size_t len)
+    : r_(data, len) {
+  // Envelope prefix: [version u8][type u8][src u32_fixed].
+  if (r_.u8() != kWireVersion) return;
+  type_ = static_cast<MsgType>(r_.u8());
+  if (!is_object_batch_type(type_)) return;
+  (void)r_.u32_fixed();
+  count_ = r_.u64();
+  packed_len_ = static_cast<std::size_t>(r_.u64());
+  if (!r_.ok() || packed_len_ > r_.remaining()) return;
+  packed_base_ = data + (len - r_.remaining());
+  // Re-anchor the reader on exactly the packed region, so iteration cannot
+  // run into trailing bytes.
+  r_ = Reader(packed_base_, packed_len_);
+  valid_ = true;
+}
+
+std::optional<ObjectBatchView::Item> ObjectBatchView::next() {
+  if (!valid_ || r_.remaining() == 0) return std::nullopt;
+  const std::size_t start = packed_len_ - r_.remaining();
+  // Delimit the item with the one true entry decoder of its type: the byte
+  // range tracks any future layout change automatically. Every item leads
+  // with its ObjectId, the shard-routing key.
+  ObjectId oid;
+  if (type_ == MsgType::kBatchedRefreshReq) {
+    oid = get_oid(r_);
+  } else if (type_ == MsgType::kReplicaTee) {
+    ReplicaTee::Entry e;
+    (void)get_tee_entry(r_, e);
+    oid = e.s.oid;
+  } else {
+    oid = get_sighting(r_).oid;
   }
-  out.op = static_cast<Op>(op);
-  out.s = get_sighting(r_);
-  out.offered_acc = r_.f64();
-  out.expiry = r_.i64();
-  out.reg = get_reg_info(r_);
-  return r_.ok();
-}
-
-ReplicaTeeView::ReplicaTeeView(const std::uint8_t* data, std::size_t len)
-    : r_(data, len) {
-  // Envelope prefix: [version u8][type u8][src u32_fixed].
-  if (r_.u8() != kWireVersion) return;
-  if (static_cast<MsgType>(r_.u8()) != MsgType::kReplicaTee) return;
-  (void)r_.u32_fixed();
-  count_ = r_.u64();
-  packed_len_ = static_cast<std::size_t>(r_.u64());
-  if (!r_.ok() || packed_len_ > r_.remaining()) return;
-  packed_base_ = data + (len - r_.remaining());
-  // Re-anchor the reader on exactly the packed region, so iteration cannot
-  // run into trailing bytes.
-  r_ = Reader(packed_base_, packed_len_);
-  valid_ = true;
-}
-
-std::optional<ReplicaTeeView::Item> ReplicaTeeView::next() {
-  if (!valid_ || r_.remaining() == 0) return std::nullopt;
-  const std::size_t start = packed_len_ - r_.remaining();
-  // Delimit the item with the one true entry decoder layout: op byte, then
-  // the BucketMigrate-style visitor fields. The sighting's leading ObjectId
-  // is the shard-routing key.
-  const std::uint8_t op = r_.u8();
-  if (op > static_cast<std::uint8_t>(ReplicaTee::Op::kSetAcc)) return std::nullopt;
-  const Sighting s = get_sighting(r_);
-  (void)r_.f64();
-  (void)r_.i64();
-  (void)get_reg_info(r_);
-  if (!r_.ok()) return std::nullopt;  // malformed tail: stop iterating
-  const std::size_t end = packed_len_ - r_.remaining();
-  return Item{s.oid, packed_base_ + start, end - start};
-}
-
-BatchedRefreshView::BatchedRefreshView(const std::uint8_t* data, std::size_t len)
-    : r_(data, len) {
-  // Envelope prefix: [version u8][type u8][src u32_fixed].
-  if (r_.u8() != kWireVersion) return;
-  if (static_cast<MsgType>(r_.u8()) != MsgType::kBatchedRefreshReq) return;
-  (void)r_.u32_fixed();
-  count_ = r_.u64();
-  packed_len_ = static_cast<std::size_t>(r_.u64());
-  if (!r_.ok() || packed_len_ > r_.remaining()) return;
-  packed_base_ = data + (len - r_.remaining());
-  // Re-anchor the reader on exactly the packed region, so iteration cannot
-  // run into trailing bytes.
-  r_ = Reader(packed_base_, packed_len_);
-  valid_ = true;
-}
-
-std::optional<BatchedRefreshView::Item> BatchedRefreshView::next() {
-  if (!valid_ || r_.remaining() == 0) return std::nullopt;
-  const std::size_t start = packed_len_ - r_.remaining();
-  // Delimit the item with the one true ObjectId decoder: the byte range
-  // tracks any future encoding change automatically.
-  const ObjectId oid = get_oid(r_);
   if (!r_.ok()) return std::nullopt;  // malformed tail: stop iterating
   const std::size_t end = packed_len_ - r_.remaining();
   return Item{oid, packed_base_ + start, end - start};
-}
-
-BatchedUpdateView::BatchedUpdateView(const std::uint8_t* data, std::size_t len)
-    : r_(data, len) {
-  // Envelope prefix: [version u8][type u8][src u32_fixed].
-  if (r_.u8() != kWireVersion) return;
-  if (static_cast<MsgType>(r_.u8()) != MsgType::kBatchedUpdateReq) return;
-  (void)r_.u32_fixed();
-  count_ = r_.u64();
-  packed_len_ = static_cast<std::size_t>(r_.u64());
-  if (!r_.ok() || packed_len_ > r_.remaining()) return;
-  packed_base_ = data + (len - r_.remaining());
-  // Re-anchor the reader on exactly the packed region, so iteration cannot
-  // run into trailing bytes.
-  r_ = Reader(packed_base_, packed_len_);
-  valid_ = true;
-}
-
-std::optional<BatchedUpdateView::Item> BatchedUpdateView::next() {
-  if (!valid_ || r_.remaining() == 0) return std::nullopt;
-  const std::size_t start = packed_len_ - r_.remaining();
-  // Delimit the item with the one true Sighting decoder: the byte range
-  // tracks any future layout change automatically.
-  const Sighting s = get_sighting(r_);
-  if (!r_.ok()) return std::nullopt;  // malformed tail: stop iterating
-  const std::size_t end = packed_len_ - r_.remaining();
-  return Item{s.oid, packed_base_ + start, end - start};
 }
 
 MsgType message_type(const Message& msg) {
@@ -1163,22 +1022,22 @@ Status decode_envelope_into(Envelope& env, const std::uint8_t* data,
                             std::size_t len) {
   Reader r(data, len);
   const std::uint8_t version = r.u8();
-  if (!r.ok() || (version != kWireVersion && version != kWireVersionPacked)) {
+  const auto type = static_cast<MsgType>(r.u8());
+  // One version per type: the packed result types at 2, everything else at 1.
+  if (!r.ok() || version != wire_version_of(type)) {
     return Status(StatusCode::kCorruptData, "bad wire version");
   }
-  const auto type = static_cast<MsgType>(r.u8());
   env.src = NodeId{r.u32_fixed()};
   switch (type) {
 // Reuse the envelope's current alternative when the type matches -- its
-// vectors/polygons keep their capacity across messages. decode_msg rejects
-// version mismatches (only the packed query results accept version 2).
-#define LOCS_WIRE_DECODE_CASE(T)                  \
-  case MsgType::k##T:                             \
-    if (T* m = std::get_if<T>(&env.msg)) {        \
-      decode_msg(r, *m, version);                 \
-    } else {                                      \
-      decode_msg(r, env.msg.emplace<T>(), version); \
-    }                                             \
+// vectors/polygons keep their capacity across messages.
+#define LOCS_WIRE_DECODE_CASE(T)             \
+  case MsgType::k##T:                        \
+    if (T* m = std::get_if<T>(&env.msg)) {   \
+      decode_into(r, *m);                    \
+    } else {                                 \
+      decode_into(r, env.msg.emplace<T>());  \
+    }                                        \
     break;
     LOCS_WIRE_FOR_EACH_MESSAGE(LOCS_WIRE_DECODE_CASE)
 #undef LOCS_WIRE_DECODE_CASE

@@ -29,7 +29,7 @@
 //    fails the envelope decode via the packed_len prefix).
 //  * decode is lazy -- handlers walk the packed region with a Reader-backed
 //    Cursor, one sighting at a time; no intermediate vector of sightings is
-//    ever materialized, and BatchedUpdateView routes a batch per owning
+//    ever materialized, and ObjectBatchView routes a batch per owning
 //    shard by peeking each sighting's leading ObjectId varint without a
 //    full envelope decode (the batch analogue of peek_object_key).
 //  * a single-sighting batch is intentionally DISTINCT from a plain
@@ -48,10 +48,9 @@
 //    vector elements, so a merge loop re-frames sub-results into the final
 //    answer by copying raw item byte ranges -- never decode + re-encode.
 //  * these four messages are stamped with envelope version
-//    kWireVersionPacked (2); a version-1 envelope of the same MsgType still
-//    decodes (the legacy length-prefixed vector layout), so traces recorded
-//    before the framing change stay comparable for one release. Everything
-//    else remains version 1, byte for byte.
+//    kWireVersionPacked (2); everything else is version 1. Each type is
+//    accepted only at its own version byte (wire_version_of), so a
+//    datagram carrying any other version fails to decode.
 //  * decode is lazy -- receivers iterate `packed` with a Reader-backed
 //    Cursor (or, without any envelope decode, through SubResView); `count`
 //    is advisory exactly as in the batched updates.
@@ -87,9 +86,7 @@ using core::Sighting;
 
 /// Envelope version bytes. Every message is stamped kWireVersion except the
 /// packed query result messages (see is_packed_result_type below), which
-/// carry kWireVersionPacked; their version-1 (legacy vector) layout stays
-/// decodable for one release (see the packed-query-results invariants in
-/// the header comment).
+/// carry kWireVersionPacked.
 inline constexpr std::uint8_t kWireVersion = 1;
 inline constexpr std::uint8_t kWireVersionPacked = 2;
 
@@ -132,8 +129,8 @@ enum class MsgType : std::uint8_t {
   kRecoveryHello,
   kBatchedRefreshReq,
   kBatchedPathUpdate,
-  kShardLoadStats,
-  kBucketMigrate,
+  // 39 is retired (a per-shard load snapshot that nothing sent or read).
+  kBucketMigrate = 40,
   kReplicaTee,
   kStandbyPromote,
   kStandbyDemote,
@@ -142,12 +139,24 @@ enum class MsgType : std::uint8_t {
 const char* msg_type_name(MsgType t);
 
 /// THE definition of which message types use the packed result framing and
-/// the kWireVersionPacked envelope byte. Every version-dispatch site (the
-/// encoder's version stamp, begin_envelope, the decode switch) keys off
-/// this single predicate, so the set cannot silently drift.
+/// the kWireVersionPacked envelope byte.
 constexpr bool is_packed_result_type(MsgType t) {
   return t == MsgType::kRangeQuerySubRes || t == MsgType::kRangeQueryRes ||
          t == MsgType::kNNProbeSubRes || t == MsgType::kNNQueryRes;
+}
+
+/// The one envelope version byte a message type is stamped with and
+/// accepted at. Every version site (the encoder's stamp, begin_envelope,
+/// the decode check, SubResView) keys off this, so the set cannot drift.
+constexpr std::uint8_t wire_version_of(MsgType t) {
+  return is_packed_result_type(t) ? kWireVersionPacked : kWireVersion;
+}
+
+/// The object-keyed batches: a packed list whose every item leads with an
+/// ObjectId, so a sharded leaf splits them per owning shard (ObjectBatchView).
+constexpr bool is_object_batch_type(MsgType t) {
+  return t == MsgType::kBatchedUpdateReq || t == MsgType::kBatchedRefreshReq ||
+         t == MsgType::kReplicaTee;
 }
 
 /// §6.5 piggyback: originating leaf server and its service area.
@@ -594,7 +603,7 @@ struct BatchedPathUpdate {
 // --- Sharded-leaf skew balancing (core/sharded_location_server) --------------
 //
 // Balancing invariants:
-//  * Both messages reuse the batched framing discipline -- the payload ends
+//  * BucketMigrate reuses the batched framing discipline -- the payload ends
 //    with [count u64][packed_len u64][packed entries]; `count` is advisory,
 //    consumers iterate the packed bytes lazily (Cursor) and stop at the
 //    first malformed entry; a truncated datagram sticky-fails the envelope
@@ -604,45 +613,6 @@ struct BatchedPathUpdate {
 //    consumes it (envelope src == the leaf itself; other sources are
 //    ignored), so soft state moves between slices with wire-validated
 //    framing but no network hop.
-
-/// Per-shard load snapshot of a sharded leaf (queue depth + occupancy),
-/// published for monitors and rebalancer decision logs. Entry layout:
-/// [shard u32][sightings u64][visitors u64][msgs_handled u64][inbox_depth u64].
-struct ShardLoadStats {
-  static constexpr MsgType kType = MsgType::kShardLoadStats;
-  std::uint64_t seq = 0;    // snapshot sequence number
-  std::uint64_t count = 0;  // entries in `packed` (advisory; see framing note)
-  Buffer packed;            // concatenated per-shard entries
-
-  struct Entry {
-    std::uint32_t shard = 0;
-    std::uint64_t sightings = 0;     // slice occupancy (SightingDb records)
-    std::uint64_t visitors = 0;      // slice visitorDB records
-    std::uint64_t msgs_handled = 0;  // reactor lifetime message count
-    std::uint64_t inbox_depth = 0;   // SPSC inbox backlog (threaded mode)
-  };
-
-  void clear() {
-    seq = 0;
-    count = 0;
-    packed.clear();
-  }
-  bool empty() const { return count == 0; }
-
-  void append(const Entry& e);
-
-  /// Lazy unpacker: one per-shard entry per next() call, stopping at the end
-  /// of the packed region or the first malformed entry.
-  class Cursor {
-   public:
-    explicit Cursor(const Buffer& packed) : r_(packed) {}
-    bool next(Entry& out);
-
-   private:
-    Reader r_;
-  };
-  Cursor entries() const { return Cursor(packed); }
-};
 
 /// One ObjectId bucket's soft state moving between two shard reactors of the
 /// same leaf (incremental skew rebalancing). Entries carry everything a leaf
@@ -857,7 +827,6 @@ struct EventUnsubscribe {
   X(RecoveryHello)                                                             \
   X(BatchedRefreshReq)                                                         \
   X(BatchedPathUpdate)                                                         \
-  X(ShardLoadStats)                                                            \
   X(BucketMigrate)                                                             \
   X(ReplicaTee)                                                                \
   X(StandbyPromote)                                                            \
@@ -871,7 +840,7 @@ using Message = std::variant<
     NotifyAvailAcc, DeregisterReq, RefreshReq, EventSubscribe, EventInstall,
     EventDelta, EventNotify, EventUnsubscribe, BatchedUpdateReq, BatchedUpdateAck,
     Heartbeat, HeartbeatAck, RecoveryHello, BatchedRefreshReq, BatchedPathUpdate,
-    ShardLoadStats, BucketMigrate, ReplicaTee, StandbyPromote, StandbyDemote>;
+    BucketMigrate, ReplicaTee, StandbyPromote, StandbyDemote>;
 
 struct Envelope {
   NodeId src;
@@ -916,89 +885,34 @@ inline Result<Envelope> decode_envelope(const Buffer& buf) {
 /// datagrams (the full decode then reports the error).
 std::optional<ObjectId> peek_object_key(const std::uint8_t* data, std::size_t len);
 
-/// Batch analogue of peek_object_key: walks an ENCODED BatchedUpdateReq
-/// datagram and yields each sighting's ObjectId plus the raw byte range of
-/// its packed encoding, without a full envelope decode. A sharded leaf uses
-/// this to split one incoming batch into per-shard sub-batches by memcpy of
-/// the item ranges (core/sharded_location_server). Iteration stops at the
-/// end of the packed region or the first malformed entry; a datagram that is
-/// not a well-formed batch envelope yields valid() == false.
-class BatchedUpdateView {
+/// Batch analogue of peek_object_key: walks an ENCODED object-keyed batch
+/// (is_object_batch_type: BatchedUpdateReq, BatchedRefreshReq or ReplicaTee)
+/// and yields each item's ObjectId plus the raw byte range of its packed
+/// encoding, without a full envelope decode. A sharded leaf uses this to
+/// split one incoming batch into per-shard sub-batches by memcpy of the item
+/// ranges (core/sharded_location_server). Items are delimited by type with
+/// the message's own entry decoder: a Sighting (update), an ObjectId
+/// (refresh), or the op byte plus the entry fields (tee). Iteration stops
+/// at the end of the packed region or the first malformed entry (an
+/// out-of-range tee op included); a datagram that is not a well-formed
+/// object-keyed batch envelope yields valid() == false.
+class ObjectBatchView {
  public:
-  BatchedUpdateView(const std::uint8_t* data, std::size_t len);
+  ObjectBatchView(const std::uint8_t* data, std::size_t len);
 
   bool valid() const { return valid_; }
   std::uint64_t count() const { return count_; }  // advisory (see framing note)
 
   struct Item {
     ObjectId oid;
-    const std::uint8_t* data;  // raw packed encoding of this sighting
+    const std::uint8_t* data;  // raw packed encoding of this item
     std::size_t len;
   };
   std::optional<Item> next();
 
  private:
   Reader r_;
-  const std::uint8_t* packed_base_ = nullptr;
-  std::size_t packed_len_ = 0;
-  std::uint64_t count_ = 0;
-  bool valid_ = false;
-};
-
-/// Shard-routing view over an ENCODED BatchedRefreshReq datagram: yields each
-/// packed ObjectId without a full envelope decode, so a sharded leaf can
-/// split one recovery sweep into per-shard sub-batches (the refresh analogue
-/// of BatchedUpdateView; core/sharded_location_server). Iteration stops at
-/// the end of the packed region or the first malformed varint; a datagram
-/// that is not a well-formed refresh batch yields valid() == false.
-class BatchedRefreshView {
- public:
-  BatchedRefreshView(const std::uint8_t* data, std::size_t len);
-
-  bool valid() const { return valid_; }
-  std::uint64_t count() const { return count_; }  // advisory (see framing note)
-
-  /// Like BatchedUpdateView::Item: the decoded key PLUS the raw byte range
-  /// of its packed encoding, so shard splitting re-frames by memcpy and
-  /// never duplicates the ObjectId wire encoding.
-  struct Item {
-    ObjectId oid;
-    const std::uint8_t* data;
-    std::size_t len;
-  };
-  std::optional<Item> next();
-
- private:
-  Reader r_;
-  const std::uint8_t* packed_base_ = nullptr;
-  std::size_t packed_len_ = 0;
-  std::uint64_t count_ = 0;
-  bool valid_ = false;
-};
-
-/// Shard-routing view over an ENCODED ReplicaTee datagram: yields each
-/// entry's leading ObjectId plus the raw byte range of its packed encoding,
-/// without a full envelope decode, so a sharded standby splits one tee into
-/// per-shard sub-tees by memcpy of the item ranges (the replication analogue
-/// of BatchedUpdateView; core/sharded_location_server). Iteration stops at
-/// the end of the packed region or the first malformed entry; a datagram
-/// that is not a well-formed tee envelope yields valid() == false.
-class ReplicaTeeView {
- public:
-  ReplicaTeeView(const std::uint8_t* data, std::size_t len);
-
-  bool valid() const { return valid_; }
-  std::uint64_t count() const { return count_; }  // advisory (see framing note)
-
-  struct Item {
-    ObjectId oid;
-    const std::uint8_t* data;  // raw packed encoding of this entry
-    std::size_t len;
-  };
-  std::optional<Item> next();
-
- private:
-  Reader r_;
+  MsgType type_ = MsgType::kBatchedUpdateReq;
   const std::uint8_t* packed_base_ = nullptr;
   std::size_t packed_len_ = 0;
   std::uint64_t count_ = 0;
@@ -1029,14 +943,14 @@ class ResultCursor {
   std::size_t len_;
 };
 
-/// Read-path analogue of BatchedUpdateView: a peek over an ENCODED
+/// Read-path analogue of ObjectBatchView: a peek over an ENCODED
 /// version-2 RangeQuerySubRes or NNProbeSubRes datagram. Exposes the header
 /// fields and the raw packed-results region without a full envelope decode,
 /// so the entry server can merge a sub-result by borrowing its bytes (pin
 /// the receive buffer via net::Datagram::take) instead of materializing an
 /// owned vector. valid() == false for malformed datagrams, other message
-/// types, and version-1 (legacy vector) framings -- those fall back to the
-/// full decode path.
+/// types and any other version byte. Whenever decode_envelope accepts one of
+/// the two sub-result types, this view is valid for the same bytes.
 class SubResView {
  public:
   SubResView(const std::uint8_t* data, std::size_t len);

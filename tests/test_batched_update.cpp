@@ -8,12 +8,15 @@
 //  * coalescer flush policies: size, byte budget, deadline, forced,
 //  * sharded leaves: a batch straddling shard boundaries splits per owning
 //    shard (and a single-shard batch forwards unchanged), equivalent to the
-//    unsharded application,
+//    unsharded application; the one splitter does the same for refresh
+//    sweeps and replica tees, and sends a malformed batch of any of the
+//    three types to shard 0 as one decode error,
 //  * wire edge cases: empty batch, single-sighting batch (explicitly
 //    distinct from a plain UpdateReq on the wire, same effect).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "core/local_service.hpp"
@@ -346,6 +349,140 @@ TEST(ShardedBatchSplit, ShardedMatchesUnshardedApplication) {
     }
   }
 }
+
+// One splitter serves every object-keyed batch type (update batches,
+// recovery sweeps, replica tees): on a 2-shard inline leaf each item must
+// reach exactly its owning shard.
+enum class BatchKind { kUpdate, kRefresh, kTee };
+
+struct SplitLeaf {
+  static constexpr std::uint32_t kShards = 2;
+  const NodeId self{1};
+  const NodeId src{50};  // batch sender (the mirrored primary for tees)
+  net::SimNetwork net;
+  std::unique_ptr<ShardedLocationServer> leaf;
+
+  /// Every object starts as a registered visitor of its owning shard, with
+  /// no sighting yet (so a refresh sweep has something to refresh).
+  SplitLeaf(BatchKind kind, const std::vector<ObjectId>& oids) {
+    core::ConfigRecord cfg;
+    cfg.sa = geo::Polygon::from_rect(geo::Rect{{0, 0}, {1000, 1000}});
+    ShardedLocationServer::Options opts;
+    opts.shards = kShards;
+    leaf = std::make_unique<ShardedLocationServer>(
+        self, cfg, net, net.clock(), opts, [oids](std::uint32_t shard) {
+          store::VisitorDb db;
+          for (const ObjectId oid : oids) {
+            if (ShardedLocationServer::shard_of(oid, kShards) == shard) {
+              db.insert_leaf(oid, 10.0, core::RegInfo{NodeId{70}, {10.0, 100.0}});
+            }
+          }
+          return db;
+        });
+    if (kind == BatchKind::kTee) leaf->set_standby_role(src);
+  }
+
+  static geo::Point pos_of(ObjectId oid) {
+    return {10.0 + static_cast<double>(oid.value), 20.0};
+  }
+
+  wire::Buffer encode(BatchKind kind, const std::vector<ObjectId>& oids) const {
+    wire::Buffer out;
+    if (kind == BatchKind::kUpdate) {
+      wire::BatchedUpdateReq b;
+      for (const ObjectId oid : oids) b.append({oid, 1, pos_of(oid), 5.0});
+      wire::encode_envelope_into(out, src, b);
+    } else if (kind == BatchKind::kRefresh) {
+      wire::BatchedRefreshReq b;
+      for (const ObjectId oid : oids) b.append(oid);
+      wire::encode_envelope_into(out, src, b);
+    } else {
+      wire::ReplicaTee b;
+      for (const ObjectId oid : oids) {
+        b.append({wire::ReplicaTee::Op::kUpsert, {oid, 1, pos_of(oid), 5.0}, 10.0,
+                  seconds(3600), core::RegInfo{NodeId{70}, {10.0, 100.0}}});
+      }
+      wire::encode_envelope_into(out, src, b);
+    }
+    return out;
+  }
+
+  /// Items shard `s` acted on, in the counter each batch type bumps.
+  std::uint64_t applied(BatchKind kind, std::uint32_t s) const {
+    const core::LocationServer::Stats st = leaf->shard(s).stats();
+    if (kind == BatchKind::kUpdate) return st.updates_applied;
+    if (kind == BatchKind::kRefresh) return st.refresh_requests;
+    return st.tee_entries_applied;
+  }
+};
+
+class ShardedBatchSplit : public ::testing::TestWithParam<BatchKind> {};
+
+TEST_P(ShardedBatchSplit, RoutesEveryItemToItsOwningShard) {
+  const BatchKind kind = GetParam();
+  constexpr std::uint32_t kShards = SplitLeaf::kShards;
+  std::vector<ObjectId> oids;
+  std::vector<ObjectId> owned_by_1;
+  std::array<std::uint64_t, kShards> owned{};
+  for (std::uint64_t i = 1; i <= 16; ++i) {
+    const ObjectId oid{i};
+    oids.push_back(oid);
+    const std::uint32_t s = ShardedLocationServer::shard_of(oid, kShards);
+    ++owned[s];
+    if (s == 1) owned_by_1.push_back(oid);
+  }
+  ASSERT_GT(owned[0], 0u) << "test ids do not straddle both shards";
+  ASSERT_GT(owned[1], 0u) << "test ids do not straddle both shards";
+
+  {  // A straddling batch: one sub-batch per shard, each item in its slice.
+    SplitLeaf h(kind, oids);
+    const wire::Buffer wire = h.encode(kind, oids);
+    h.leaf->handle(wire.data(), wire.size());
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(h.leaf->shard(s).stats().msgs_handled, 1u) << "shard " << s;
+      EXPECT_EQ(h.applied(kind, s), owned[s]) << "shard " << s;
+    }
+    if (kind != BatchKind::kRefresh) {
+      for (const ObjectId oid : oids) {
+        const std::uint32_t owner = ShardedLocationServer::shard_of(oid, kShards);
+        const store::SightingDb::Record* rec =
+            h.leaf->shard(owner).sightings()->find(oid);
+        ASSERT_NE(rec, nullptr) << "object " << oid.value;
+        EXPECT_EQ(rec->sighting.pos, SplitLeaf::pos_of(oid));
+        EXPECT_EQ(h.leaf->shard(1 - owner).sightings()->find(oid), nullptr);
+      }
+    }
+  }
+  {  // A batch with one owner goes to that shard alone, as one datagram.
+    SplitLeaf h(kind, oids);
+    const wire::Buffer wire = h.encode(kind, owned_by_1);
+    h.leaf->handle(wire.data(), wire.size());
+    EXPECT_EQ(h.leaf->shard(0).stats().msgs_handled, 0u);
+    EXPECT_EQ(h.leaf->shard(1).stats().msgs_handled, 1u);
+    EXPECT_EQ(h.applied(kind, 1), owned_by_1.size());
+  }
+  {  // A malformed batch: shard 0 decodes it, counts one error, applies none.
+    SplitLeaf h(kind, oids);
+    const wire::Buffer wire = h.encode(kind, oids);
+    h.leaf->handle(wire.data(), wire.size() - 1);  // packed region cut short
+    EXPECT_EQ(h.leaf->shard(0).stats().decode_errors, 1u);
+    EXPECT_EQ(h.leaf->shard(1).stats().decode_errors, 0u);
+    EXPECT_EQ(h.leaf->stats().msgs_handled, 0u);
+    for (std::uint32_t s = 0; s < kShards; ++s) EXPECT_EQ(h.applied(kind, s), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryBatchType, ShardedBatchSplit,
+                         ::testing::Values(BatchKind::kUpdate, BatchKind::kRefresh,
+                                           BatchKind::kTee),
+                         [](const ::testing::TestParamInfo<BatchKind>& info) {
+                           switch (info.param) {
+                             case BatchKind::kUpdate: return "update";
+                             case BatchKind::kRefresh: return "refresh";
+                             case BatchKind::kTee: return "tee";
+                           }
+                           return "unknown";
+                         });
 
 // --------------------------------------------------------------------------
 // wire edge cases against a live server

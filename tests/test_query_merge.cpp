@@ -1,5 +1,6 @@
 // Zero-materialization query merge: end-to-end equivalence, dedup-on-emit,
-// legacy-framing compat, partial answers on timeout, and the coalesced
+// rejection of the retired version-1 sub-result framing, the merged answer's
+// transmit path, partial answers on timeout, and the coalesced
 // CreatePath/RemovePath machinery riding on the same batch framing.
 //
 // The merge path under test (core/location_server): version-2 sub-results
@@ -107,7 +108,7 @@ TEST(QueryMerge, EmittedRangeResultIsByteIdenticalToCanonicalEncoding) {
   EXPECT_EQ(finals[0], reencoded);
 }
 
-// --- handcrafted sub-results: dedup, legacy framing, timeouts ----------------
+// --- handcrafted sub-results: dedup, retired framing, timeouts ---------------
 
 /// Harness around one ENTRY server with two fake children: the test plays
 /// the children, so it controls exactly which sub-results arrive and how
@@ -180,7 +181,8 @@ struct EntryHarness {
     net.run_until_idle();
   }
 
-  /// One child's LEGACY (version 1, length-prefixed vector) sub-result.
+  /// One child's sub-result in the RETIRED version-1 (length-prefixed
+  /// vector) layout.
   void send_v1_sub(NodeId from, double covered,
                    const std::vector<ObjectResult>& results) {
     wm::Buffer v1;
@@ -223,20 +225,58 @@ TEST(QueryMerge, DedupOnEmitDropsCrossSegmentDuplicates) {
   EXPECT_EQ(h.server.stats().sub_res_pinned, 2u);
 }
 
-TEST(QueryMerge, LegacyV1SubResultsStillMerge) {
+TEST(QueryMerge, VersionOneSubResultIsADecodeError) {
   EntryHarness h;
   h.start_query();
   h.send_v1_sub(NodeId{2}, h.fwd_area.area() / 2.0,
                 {{ObjectId{7}, {{10, 10}, 5.0}}});
+  EXPECT_EQ(h.server.stats().decode_errors, 1u);
   h.send_packed_sub(NodeId{3}, h.fwd_area.area() / 2.0,
                     {{ObjectId{8}, {{990, 990}, 5.0}}});
+  // The version-1 half never counted toward coverage: no answer until the
+  // deadline, and then only the packed child's objects.
+  ASSERT_FALSE(h.answer.has_value());
+  h.net.clock().advance(h.server.options().pending_timeout + 1);
+  h.server.tick(h.net.now());
+  h.net.run_until_idle();
   ASSERT_TRUE(h.answer.has_value());
-  EXPECT_TRUE(h.answer->complete);
-  EXPECT_EQ(sorted_ids(h.answer->objects),
-            (std::vector<ObjectId>{ObjectId{7}, ObjectId{8}}));
-  // One legacy copy, one pinned view.
-  EXPECT_EQ(h.server.stats().sub_res_copied, 1u);
+  EXPECT_FALSE(h.answer->complete);
+  EXPECT_EQ(sorted_ids(h.answer->objects), (std::vector<ObjectId>{ObjectId{8}}));
+  EXPECT_EQ(h.server.stats().sub_res_copied, 0u);
   EXPECT_EQ(h.server.stats().sub_res_pinned, 1u);
+}
+
+/// A transmit channel that keeps what it is given (net::Sender).
+struct CapturingSender : net::Sender {
+  std::vector<std::pair<NodeId, wm::Buffer>> sent;
+  void send(NodeId to, net::PooledBuffer bytes) override {
+    sent.emplace_back(to, *bytes);
+  }
+  void flush() override {}
+};
+
+TEST(QueryMerge, MergedAnswerLeavesThroughTheTransmitChannel) {
+  // The final RangeQueryRes is built in place, not through send_msg; it must
+  // still take the server's transmit channel (a shard's own socket and
+  // cork window), never the shared transport behind its back.
+  CapturingSender tx;  // outlives the server it is installed on
+  EntryHarness h;
+  h.start_query();
+  h.server.set_tx_sender(&tx);
+  h.send_packed_sub(NodeId{2}, h.fwd_area.area() / 2.0,
+                    {{ObjectId{7}, {{10, 10}, 5.0}}});
+  h.send_packed_sub(NodeId{3}, h.fwd_area.area() / 2.0,
+                    {{ObjectId{8}, {{990, 990}, 5.0}}});
+  EXPECT_FALSE(h.answer.has_value());  // nothing went via the transport
+  ASSERT_EQ(tx.sent.size(), 1u);
+  EXPECT_EQ(tx.sent[0].first, h.client);
+  const auto decoded = wm::decode_envelope(tx.sent[0].second);
+  ASSERT_TRUE(decoded.ok());
+  const auto* res = std::get_if<wm::RangeQueryRes>(&decoded.value().msg);
+  ASSERT_NE(res, nullptr);
+  EXPECT_TRUE(res->complete);
+  EXPECT_EQ(sorted_ids(res->results.to_vector()),
+            (std::vector<ObjectId>{ObjectId{7}, ObjectId{8}}));
 }
 
 TEST(QueryMerge, TimeoutEmitsPartialAnswerAndReleasesPins) {
